@@ -57,33 +57,33 @@ class WriteScheme(abc.ABC):
         logical_addrs,
         old_stored: np.ndarray,
         new_logical: np.ndarray,
+        bounds: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Plan a batch of equal-length writes as dense matrices.
+        """Plan a batch of ragged writes laid out flat.
 
         Args:
             logical_addrs: one logical address per row.
-            old_stored: ``(B, L)`` currently-stored bytes.
-            new_logical: ``(B, L)`` bytes to logically store.
+            old_stored: currently-stored bytes of every row, concatenated.
+            new_logical: bytes to logically store, same layout.
+            bounds: row ``i`` is ``[bounds[i], bounds[i + 1])`` of both.
 
-        Returns ``(stored, program_masks, aux_bits)`` where ``stored`` and
-        ``program_masks`` are ``(B, L)`` ``uint8`` matrices and ``aux_bits``
-        is a length-``B`` ``int64`` vector.  The default implementation
-        loops :meth:`prepare` row by row (preserving any per-address decode
-        metadata updates, in batch order); schemes with content-independent
-        plans override it with a vectorised version.
+        Returns ``(stored, program_masks, aux_bits)``: flat ``uint8``
+        arrays in the same layout and a per-row ``int64`` vector.  The
+        default implementation loops :meth:`prepare` row by row (preserving
+        any per-address decode metadata updates, in batch order); schemes
+        with content-independent plans override it with a vectorised
+        version.
         """
-        new_logical = np.atleast_2d(np.asarray(new_logical, dtype=np.uint8))
-        old_stored = np.atleast_2d(np.asarray(old_stored, dtype=np.uint8))
         stored = np.empty_like(new_logical)
         masks = np.empty_like(new_logical)
-        aux = np.zeros(new_logical.shape[0], dtype=np.int64)
+        aux = np.zeros(len(logical_addrs), dtype=np.int64)
         for i, logical_addr in enumerate(logical_addrs):
-            plan = self.prepare(int(logical_addr), old_stored[i], new_logical[i])
-            stored[i] = plan.stored
-            if plan.program_mask is None:
-                masks[i] = 0xFF
-            else:
-                masks[i] = plan.program_mask
+            lo, hi = bounds[i], bounds[i + 1]
+            plan = self.prepare(
+                int(logical_addr), old_stored[lo:hi], new_logical[lo:hi]
+            )
+            stored[lo:hi] = plan.stored
+            masks[lo:hi] = 0xFF if plan.program_mask is None else plan.program_mask
             aux[i] = plan.aux_bits
         return stored, masks, aux
 

@@ -29,9 +29,8 @@ class DCW(WriteScheme):
         logical_addrs,
         old_stored: np.ndarray,
         new_logical: np.ndarray,
+        bounds: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # DCW keeps no per-address metadata, so the whole batch is one XOR.
-        new_logical = np.atleast_2d(np.asarray(new_logical, dtype=np.uint8))
-        old_stored = np.atleast_2d(np.asarray(old_stored, dtype=np.uint8))
         masks = np.bitwise_xor(old_stored, new_logical)
-        return new_logical, masks, np.zeros(new_logical.shape[0], dtype=np.int64)
+        return new_logical, masks, np.zeros(len(logical_addrs), dtype=np.int64)

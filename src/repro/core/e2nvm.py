@@ -36,6 +36,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +49,18 @@ from repro.nvm.controller import MemoryController
 from repro.nvm.device import WriteResult
 from repro.nvm.health import SegmentRetiredError
 from repro.util.rng import rng_from_seed
+
+
+@dataclass(frozen=True)
+class PlacementPrediction:
+    """Clusters predicted for a batch, with the model epoch and padding
+    statistic they were predicted under (see
+    :meth:`E2NVM.predict_placement`)."""
+
+    clusters: np.ndarray
+    epoch: int
+    ones_fraction: float
+    pipeline: EncoderPipeline
 
 
 class E2NVM:
@@ -347,30 +360,52 @@ class E2NVM:
         if not values:
             return []
         for _ in range(self.config.place_epoch_retries):
-            pipeline = self.pipeline
-            epoch = self._model_epoch
-            clusters = self.fast.predict(
-                values, pipeline, epoch,
-                memory_ones_fraction=self._memory_ones_fraction,
-            )
-            with self._swap_lock:
-                if epoch != self._model_epoch:
-                    continue  # model swapped mid-prediction: re-predict
-                addrs = self.dap.get_many(
-                    clusters, centroids=pipeline.centroids
-                )
-                self._allocated.update(addrs)
-                return addrs
+            prediction = self.predict_placement(values)
+            addrs = self.claim_predicted(prediction, slice(None))
+            if addrs is not None:
+                return addrs  # else a model swapped mid-prediction: redo
         # Retries exhausted (a swap landed on every attempt): predict under
         # the swap lock, where no swap can interleave.  Slower — the swap
         # worker blocks on us — but guaranteed to terminate.
         with self._swap_lock:
-            pipeline = self.pipeline
-            clusters = self.fast.predict(
-                values, pipeline, self._model_epoch,
-                memory_ones_fraction=self._memory_ones_fraction,
+            prediction = self.predict_placement(values)
+            addrs = self.dap.get_many(
+                prediction.clusters, centroids=prediction.pipeline.centroids
             )
-            addrs = self.dap.get_many(clusters, centroids=pipeline.centroids)
+            self._allocated.update(addrs)
+            return addrs
+
+    def predict_placement(self, values: list[bytes]) -> "PlacementPrediction":
+        """Cluster predictions for a batch, to claim with
+        :meth:`claim_predicted` — at once, or one value at a time by callers
+        that must commit each value (and recycle what it replaces) before
+        the next one claims."""
+        self._require_trained()
+        pipeline = self.pipeline
+        epoch = self._model_epoch
+        fraction = self._memory_ones_fraction
+        clusters = self.fast.predict(
+            values, pipeline, epoch, memory_ones_fraction=fraction
+        )
+        return PlacementPrediction(clusters, epoch, fraction, pipeline)
+
+    def claim_predicted(
+        self, prediction: "PlacementPrediction", rows: slice
+    ) -> list[int] | None:
+        """Claim addresses for ``prediction``'s values ``rows`` — exactly
+        what :meth:`place_many` would claim for them now, all or nothing —
+        or return ``None`` when the prediction is stale (a model swap or a
+        padding-statistics refresh landed since) and must be redone."""
+        with self._swap_lock:
+            if (
+                prediction.epoch != self._model_epoch
+                or prediction.ones_fraction != self._memory_ones_fraction
+            ):
+                return None
+            addrs = self.dap.get_many(
+                prediction.clusters[rows],
+                centroids=prediction.pipeline.centroids,
+            )
             self._allocated.update(addrs)
             return addrs
 

@@ -362,21 +362,9 @@ class KVStore:
     # ------------------------------------------------------------ operations
 
     def put(self, key: bytes, value: bytes) -> int:
-        """Insert or update; returns the NVM address chosen for the value."""
-        if not isinstance(key, bytes):
-            raise TypeError("keys must be bytes")
-        if not isinstance(value, bytes) or not value:
-            raise TypeError("values must be non-empty bytes")
-        self._check_writable()
-        # Drain pending evacuations *before* this PUT's own write: every
-        # relocation is content-neutral (same key, same value, new home),
-        # so a crash anywhere inside one never changes observable store
-        # contents — whereas relocating after the commit would open a
-        # window where this PUT is committed but not yet acknowledged.
-        self._maybe_relocate()
-        if self.pool is None:
-            return self._put_volatile(key, value)
-        return self._put_durable(key, value)
+        """Insert or update; returns the NVM address chosen for the value
+        (a one-pair :meth:`put_many`)."""
+        return self.put_many([(key, value)])[0]
 
     @property
     def read_only(self) -> bool:
@@ -393,13 +381,13 @@ class KVStore:
     def put_many(self, items: list[tuple[bytes, bytes]]) -> list[int]:
         """Insert or update a batch of pairs; returns one address per item.
 
-        Placement for the whole batch is one engine forward pass and one
-        short DAP claim.  In volatile mode the media write is one batched
-        differential write; in durable mode each pair still commits in its
-        own undo-log transaction (the log holds one transaction at a time),
-        in batch order, so the durability contract is byte-identical to
-        sequential :meth:`put` calls — a crash mid-batch leaves a prefix of
-        the batch committed.
+        Placement for the whole batch is one engine forward pass.  In
+        volatile mode the claim is one short DAP pop and the media write
+        one batched differential write; in durable mode each pair commits
+        in its own undo-log transaction (the log holds one transaction at
+        a time), in batch order, so the durability contract is
+        byte-identical to sequential :meth:`put` calls — a crash mid-batch
+        leaves a prefix of the batch committed.
         """
         items = list(items)
         for key, value in items:
@@ -410,40 +398,15 @@ class KVStore:
         if not items:
             return []
         self._check_writable()
+        # Drain pending evacuations *before* this batch's own writes: every
+        # relocation is content-neutral (same key, same value, new home),
+        # so a crash anywhere inside one never changes observable store
+        # contents — whereas relocating after the commit would open a
+        # window where a PUT is committed but not yet acknowledged.
         self._maybe_relocate()
         if self.pool is None:
             return self._put_many_volatile(items)
         return self._put_many_durable(items)
-
-    def _put_volatile(self, key: bytes, value: bytes) -> int:
-        old = self.index.get(key)
-        try:
-            addr, _ = self.engine.write(value)
-        except PoolExhaustedError as exc:
-            # The engine exhausted free capacity *and* reserved spares.
-            # Before degrading, try to reclaim stranded drained retiring
-            # segments into spares and retry once.
-            if not self._reclaim_stranded():
-                self._enter_read_only(exc)
-            try:
-                addr, _ = self.engine.write(value)
-            except PoolExhaustedError as exc2:
-                self._enter_read_only(exc2)
-        self._valid[addr] = True
-        self._by_addr[addr] = key
-        self._crc_by_addr[addr] = zlib.crc32(value) & 0xFFFFFFFF
-        self._write_seq += 1
-        self._heat_by_addr[addr] = self._write_seq
-        self.index.put(key, (addr, len(value)))
-        if old is not None:
-            # UPDATE: the previous location is recycled (Algorithm 2's path).
-            old_addr, _ = old
-            self._valid[old_addr] = False
-            self._by_addr.pop(old_addr, None)
-            self._crc_by_addr.pop(old_addr, None)
-            self._heat_by_addr.pop(old_addr, None)
-            self._recycle_addr(old_addr)
-        return addr
 
     def _put_many_volatile(self, items: list[tuple[bytes, bytes]]) -> list[int]:
         try:
@@ -494,79 +457,77 @@ class KVStore:
                     self.engine.release_many(healthy)
         return addrs
 
-    def _put_durable(self, key: bytes, value: bytes) -> int:
-        """Algorithm 1 with a real durability contract: value, catalog
-        record and (on UPDATE) the old record's flag reset commit or roll
-        back as one undo-log transaction.  The PUT is acknowledged only
-        after commit; a crash at any earlier point leaves the previous
-        store state recoverable.
-
-        With wear-out enabled, a placement whose verify-after-write
-        retires the segment mid-transaction is retried on a fresh
-        placement (activating a reserved spare when one is left); only
-        exhaustion of every option degrades the store to read-only.
-        """
-        self._check_durable_key(key)
-        for _ in range(self.engine.controller.n_segments + 1):
-            try:
-                addr = self.engine.place(value)
-            except PoolExhaustedError as exc:
-                # Free capacity ran dry: a remaining reserved spare can
-                # still save the PUT, and when even spares are gone,
-                # reclaiming a stranded drained retiring segment can mint
-                # one more; only true exhaustion degrades.
-                if self.engine.adopt_spare() is not None:
-                    continue
-                if (
-                    self._reclaim_stranded()
-                    and self.engine.adopt_spare() is not None
-                ):
-                    continue
-                self._enter_read_only(exc)
-            try:
-                self._commit_durable(key, value, addr)
-            except SegmentRetiredError:
-                # ``_commit_durable`` already un-claimed (and the engine
-                # quarantined) the dead address; mirror the retirement in
-                # the pool's allocator, pull in a spare and re-place.
-                self.pool.retire(addr)
-                self.engine.adopt_spare()
-                continue
-            self.engine.record_committed_write()
-            return addr
-        raise PoolExhaustedError(
-            "durable PUT retries exhausted: every placement candidate "
-            "retired"
-        )
-
     def _put_many_durable(self, items: list[tuple[bytes, bytes]]) -> list[int]:
+        """Algorithm 1 with a real durability contract, pair by pair in
+        batch order: value, catalog record and (on UPDATE) the old
+        record's flag reset commit or roll back as one undo-log
+        transaction, and a pair is acknowledged only after its commit.
+
+        The batch's clusters come from one prediction; each pair claims
+        its address only after the previous pair committed and recycled
+        the segment it replaced, so every claim sees the DAP a sequential
+        PUT would — placement, flips and energy are those of one
+        :meth:`put` per pair.  The rest of the batch is re-predicted only
+        when a model swap or a padding-statistics refresh lands mid-batch.
+
+        With wear-out enabled, a pair whose verify-after-write retires its
+        segment mid-transaction is re-placed alone (activating a reserved
+        spare when one is left); only exhaustion of every option degrades
+        the store to read-only.
+        """
         for key, _ in items:
             self._check_durable_key(key)
-        if self.engine.controller.verify_writes:
-            # Per-pair PUTs: a mid-batch segment retirement must retry
-            # *that pair* on a fresh placement, which the shared batch
-            # claim cannot express.  The durability contract is unchanged
-            # (each pair commits in its own transaction either way).
-            return [self._put_durable(key, value) for key, value in items]
-        addrs = self.engine.place_many([value for _, value in items])
-        out: list[int] = []
-        for i, ((key, value), addr) in enumerate(zip(items, addrs)):
-            try:
-                self._commit_durable(key, value, addr)
-            except CrashError:
-                raise
-            except BaseException:
-                # ``_commit_durable`` already un-claimed ``addr``; the
-                # not-yet-written rest of the batch is un-claimed here so
-                # the DAP stays exact.  Items before ``i`` stay committed,
-                # exactly as sequential PUTs would leave them.
-                rest = addrs[i + 1 :]
-                if rest:
-                    self.engine.release_many(rest)
-                raise
-            out.append(addr)
-        self.engine.record_committed_writes(len(items))
-        return out
+        engine = self.engine
+        values = [value for _, value in items]
+        prediction, base = engine.predict_placement(values), 0
+        addrs: list[int] = []
+        for i, (key, value) in enumerate(items):
+            for attempt in range(engine.controller.n_segments + 1):
+                try:
+                    claimed = None
+                    if attempt == 0:
+                        row = slice(i - base, i - base + 1)
+                        claimed = engine.claim_predicted(prediction, row)
+                        if claimed is None:
+                            prediction, base = (
+                                engine.predict_placement(values[i:]), i
+                            )
+                            claimed = engine.claim_predicted(
+                                prediction, slice(0, 1)
+                            )
+                    addr = engine.place(value) if claimed is None else claimed[0]
+                except PoolExhaustedError as exc:
+                    # Free capacity ran dry: a remaining reserved spare can
+                    # still save the PUT, and when even spares are gone,
+                    # reclaiming a stranded drained retiring segment can
+                    # mint one more; only true exhaustion degrades.
+                    if engine.adopt_spare() is not None:
+                        continue
+                    if (
+                        self._reclaim_stranded()
+                        and engine.adopt_spare() is not None
+                    ):
+                        continue
+                    self._enter_read_only(exc)
+                try:
+                    self._commit_durable(key, value, addr)
+                except SegmentRetiredError:
+                    # ``_commit_durable`` already un-claimed (and the
+                    # engine quarantined) the dead address; mirror the
+                    # retirement in the pool's allocator, pull in a spare
+                    # and re-place.
+                    self.pool.retire(addr)
+                    engine.adopt_spare()
+                    continue
+                engine.record_committed_write()
+                addrs.append(addr)
+                break
+            else:
+                raise PoolExhaustedError(
+                    "durable PUT retries exhausted: every placement "
+                    "candidate retired"
+                )
+        return addrs
 
     def _check_durable_key(self, key: bytes) -> None:
         if len(key) > self.catalog.key_capacity:
@@ -588,7 +549,7 @@ class KVStore:
         try:
             if self.engine.faults is not None:
                 self.engine.faults.fire("device.write")
-            with self.pool.transaction() as tx:
+            with self.pool.transaction(defer_flush=True) as tx:
                 tx.write(addr, value)
                 if old is not None:
                     # Record forwarding: full record at the new slot, old
@@ -741,7 +702,7 @@ class KVStore:
         if self.pool is not None:
             # The persisted validity-flag reset is the durable part; it
             # commits before any DRAM structure changes.
-            with self.pool.transaction() as tx:
+            with self.pool.transaction(defer_flush=True) as tx:
                 self.catalog.tx_clear(tx, self.pool.object_index(addr))
         self.index.delete(key)
         self._valid[addr] = False

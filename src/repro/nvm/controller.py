@@ -26,6 +26,8 @@ quarantine and retry.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.baselines.base import WriteScheme
@@ -102,12 +104,8 @@ class MemoryController:
         return self.device.stats
 
     def write(self, logical_addr: int, data: bytes | np.ndarray) -> WriteResult:
-        """Write ``data`` at ``logical_addr`` through the scheme.
-
-        With verify-after-write enabled, the scheme plans against the
-        *ECP-corrected* old content (so DCW never pulses a dead-but-
-        corrected cell whose logical value already matches) and the
-        programmed range is read back and verified; see :meth:`_verify`.
+        """Write ``data`` at ``logical_addr`` through the scheme (a one-row
+        :meth:`write_many`).
 
         Raises:
             SegmentRetiredError: verification needed more correction
@@ -115,60 +113,167 @@ class MemoryController:
                 void (stuck cells never change) and the caller must place
                 the data elsewhere.
         """
-        data = self._as_u8(data)
-        phys_addr, segment = self._map(logical_addr, data.size)
-        old_stored = self.device.read_array(phys_addr, data.size)
-        size = self.device.segment_size
-        phys_seg, offset = phys_addr // size, phys_addr % size
-        if self.ecc is not None:
-            old_stored = self.ecc.correct(phys_seg, old_stored, offset)
-        plan = self.scheme.prepare(logical_addr, old_stored, data)
-        result = self.device.program(
-            phys_addr, plan.stored, plan.program_mask, plan.aux_bits
-        )
-        if self.verify_writes:
-            self._verify(phys_seg, phys_addr, offset, old_stored, plan)
-        self.wear_leveling.after_write(self.device, segment)
-        return result
+        return self.write_many([logical_addr], [data])[0]
 
-    def _verify(
-        self, phys_seg: int, phys_addr: int, offset: int, old_corrected, plan
-    ) -> None:
-        """Read back a just-programmed range, patch it through the ECP
-        table and compare against the intended content; record fresh
-        correction entries for any cell the program pulse failed on.
+    def write_many(self, logical_addrs, values) -> list[WriteResult]:
+        """Write an ordered list of rows — exactly a loop of one-row writes.
+
+        Rows are ragged (any length within one segment) and may overlap.
+        The list is cut into maximal *runs* of pairwise-disjoint rows; each
+        run is one vectorised pass: read the old content, ECP-correct it,
+        plan the scheme's masks, :meth:`NVMDevice.program_many`, then one
+        verify read-back and compare.  Disjoint rows cannot see each
+        other's writes, so a run is order-free except for what verify
+        decides — and verify can fail only on cells that were stuck or
+        drifted before the write.
+
+        Three rules keep runs exact where state can change between rows;
+        each writes the run one row at a time, which *is* the loop: under
+        an active wear-leveling remapper (each write may remap segments),
+        with a fault injector on the device (each row's verify must land
+        before the next row's crash point), and, under verification, when
+        the run touches a stuck or drifted cell (a row may then retire its
+        segment, and no later row may land).  A retiring row raises
+        :class:`SegmentRetiredError` carrying its batch index on ``.row``.
+
+        Raises:
+            ValueError: a row crosses a segment boundary (checked for every
+                row before anything is written).
+            IndexError: a row's segment is out of range.
+        """
+        rows = [self._as_u8(v) for v in values]
+        addrs = [int(a) for a in logical_addrs]
+        if len(rows) != len(addrs):
+            raise ValueError("logical_addrs length must match value count")
+        n_segments = self.n_segments
+        for addr, row in zip(addrs, rows):
+            self._check_access(addr, row.size, n_segments)
+        results: list[WriteResult] = []
+        for lo, hi in self._runs(addrs, rows):
+            if hi - lo > 1 and self._row_by_row(addrs[lo:hi], rows[lo:hi]):
+                spans = [(i, i + 1) for i in range(lo, hi)]
+            else:
+                spans = [(lo, hi)]
+            for start, end in spans:
+                try:
+                    results.extend(
+                        self._write_run(addrs[start:end], rows[start:end])
+                    )
+                except SegmentRetiredError as exc:
+                    exc.row += start  # run-relative -> batch index
+                    raise
+        return results
+
+    def _runs(self, addrs: list[int], rows: list[np.ndarray]):
+        """Yield ``(start, end)`` of each maximal run of pairwise-disjoint
+        rows."""
+        start = 0
+        spans: dict[int, list[tuple[int, int]]] = {}
+        size = self.device.segment_size
+        for i, addr in enumerate(addrs):
+            end = addr + rows[i].size
+            seg_spans = spans.get(addr // size)
+            if seg_spans is not None and any(
+                lo < end and addr < hi for lo, hi in seg_spans
+            ):
+                yield start, i
+                start = i
+                spans = {}
+                seg_spans = None
+            if seg_spans is None:
+                spans[addr // size] = [(addr, end)]
+            else:
+                seg_spans.append((addr, end))
+        if addrs:
+            yield start, len(addrs)
+
+    def _row_by_row(self, addrs: list[int], rows: list[np.ndarray]) -> bool:
+        """Whether a run must be written one row at a time (the rules in
+        :meth:`write_many`).  Asked as the run starts: earlier runs may
+        have worn cells out.  Verification implies identity mapping, so
+        logical addresses are physical ones."""
+        if self.device.faults is not None or not isinstance(
+            self.wear_leveling, NoWearLeveling
+        ):
+            return True
+        return self.verify_writes and self.device.has_faulty_cells(
+            addrs, [row.size for row in rows]
+        )
+
+    def _write_run(
+        self, addrs: list[int], rows: list[np.ndarray]
+    ) -> list[WriteResult]:
+        """One vectorised pass over pairwise-disjoint rows.  Per-row
+        geometry stays in Python lists; only per-byte work is numpy."""
+        size = self.device.segment_size
+        lengths = [row.size for row in rows]
+        bounds = list(accumulate(lengths, initial=0))
+        data = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        to_physical = self.wear_leveling.to_physical
+        phys = [to_physical(a // size) * size + a % size for a in addrs]
+        segments = [p // size for p in phys]
+        offsets = [p % size for p in phys]
+        old = self.device.read_rows(phys, lengths)
+        if self.ecc is not None:
+            self.ecc.correct_rows(segments, offsets, bounds, old)
+        stored, masks, aux = self.scheme.prepare_many(addrs, old, data, bounds)
+        expected = None
+        if self.verify_writes:
+            expected = (old & ~masks) | (stored & masks)
+        results = self.device.program_many(
+            phys, stored, masks, aux, lengths=lengths
+        )
+        if expected is not None:
+            self._verify(phys, lengths, bounds, segments, offsets, expected)
+        for addr in addrs:
+            self.wear_leveling.after_write(self.device, addr // size)
+        return results
+
+    def _verify(self, phys, lengths, bounds, segments, offsets, expected) -> None:
+        """Read back just-programmed rows, patch them through the ECP table
+        and compare against the intended content, row by row in order:
+        record fresh correction entries for any cell the program pulse
+        failed on, retire a segment whose entries run out, and queue a
+        segment at capacity for evacuation.
 
         Already-retired segments are exempt: undo-log rollback restores
         old data onto them best-effort (their surviving cells still hold
         it) and must not cascade into further retirement errors.
         """
-        health = self.device.health
-        if health is not None and phys_seg in health.retired:
-            return
-        mask = plan.program_mask
-        if mask is None:
-            mask = np.full(plan.stored.size, 0xFF, dtype=np.uint8)
-        expected = np.bitwise_or(
-            np.bitwise_and(old_corrected, np.bitwise_not(mask)),
-            np.bitwise_and(plan.stored, mask),
-        )
-        readback = self.device.read_array(phys_addr, expected.size)
-        self.verify_reads += 1
-        readback = self.ecc.correct(phys_seg, readback, offset)
-        diff = np.bitwise_xor(readback, expected)
-        if diff.any():
-            positions = np.flatnonzero(np.unpackbits(diff))
-            bit_offsets = offset * 8 + positions
-            values = np.unpackbits(expected)[positions]
-            if not self.ecc.record(phys_seg, bit_offsets, values):
-                if self.health_manager is not None:
-                    self.health_manager.retire(phys_seg)
-                else:
-                    health.retired.add(phys_seg)
-                raise SegmentRetiredError(phys_seg)
-            self.corrections_recorded += int(positions.size)
-        if self.ecc.at_capacity(phys_seg) and self.health_manager is not None:
-            self.health_manager.mark_retiring(phys_seg)
+        retired = self.device.health.retired
+        checked = [i for i, seg in enumerate(segments) if seg not in retired]
+        if len(checked) < len(segments):
+            if not checked:
+                return
+            expected = np.concatenate(
+                [expected[bounds[i] : bounds[i + 1]] for i in checked]
+            )
+            phys = [phys[i] for i in checked]
+            lengths = [lengths[i] for i in checked]
+            segments = [segments[i] for i in checked]
+            offsets = [offsets[i] for i in checked]
+            bounds = list(accumulate(lengths, initial=0))
+        readback = self.device.read_rows(phys, lengths)
+        self.verify_reads += len(checked)
+        self.ecc.correct_rows(segments, offsets, bounds, readback)
+        diff = readback ^ expected
+        any_diff = diff.any()
+        for j, seg in enumerate(segments):
+            if any_diff:
+                row_diff = diff[bounds[j] : bounds[j + 1]]
+                if row_diff.any():
+                    positions = np.flatnonzero(np.unpackbits(row_diff))
+                    values = np.unpackbits(
+                        expected[bounds[j] : bounds[j + 1]]
+                    )[positions]
+                    if not self.ecc.record(
+                        seg, offsets[j] * 8 + positions, values
+                    ):
+                        self.health_manager.retire(seg)
+                        raise SegmentRetiredError(seg, row=checked[j])
+                    self.corrections_recorded += int(positions.size)
+            if self.ecc.at_capacity(seg):
+                self.health_manager.mark_retiring(seg)
 
     def torn_program(self, logical_addr: int, data: bytes | np.ndarray) -> None:
         """Program ``data`` as a crash-interrupted write.
@@ -189,48 +294,6 @@ class MemoryController:
         self.device.program(
             phys_addr, plan.stored, plan.program_mask, plan.aux_bits
         )
-
-    def write_many(
-        self, logical_addrs, values
-    ) -> list[WriteResult]:
-        """Write one value per logical address, batched when possible.
-
-        Equal-length values landing in distinct segments (with no active
-        wear-leveling remapper, whose mid-batch remaps would be
-        order-dependent) take the vectorised read/prepare/program path;
-        anything else falls back to per-row :meth:`write` calls with
-        identical semantics.
-        """
-        rows = [self._as_u8(v) for v in values]
-        logical_addrs = [int(a) for a in logical_addrs]
-        if len(rows) != len(logical_addrs):
-            raise ValueError("logical_addrs length must match value count")
-        if not rows:
-            return []
-        length = rows[0].size
-        batched = (
-            len(rows) > 1
-            and not self.verify_writes
-            and isinstance(self.wear_leveling, NoWearLeveling)
-            and all(r.size == length for r in rows)
-        )
-        if batched:
-            phys = np.empty(len(rows), dtype=np.int64)
-            segments = np.empty(len(rows), dtype=np.int64)
-            for i, logical_addr in enumerate(logical_addrs):
-                phys[i], segments[i] = self._map(logical_addr, length)
-            batched = np.unique(segments).size == segments.size
-        if not batched:
-            return [
-                self.write(addr, row)
-                for addr, row in zip(logical_addrs, rows)
-            ]
-        old_rows = self.device.read_arrays(phys, length)
-        data = np.stack(rows)
-        stored, masks, aux = self.scheme.prepare_many(
-            logical_addrs, old_rows, data
-        )
-        return self.device.program_many(phys, stored, masks, aux)
 
     def read(self, logical_addr: int, length: int) -> bytes:
         """Read ``length`` logical bytes from ``logical_addr`` (patched
@@ -302,6 +365,15 @@ class MemoryController:
         return index * self.device.segment_size
 
     def _map(self, logical_addr: int, length: int) -> tuple[int, int]:
+        self._check_access(logical_addr, length, self.n_segments)
+        size = self.device.segment_size
+        segment = logical_addr // size
+        phys_segment = self.wear_leveling.to_physical(segment)
+        return phys_segment * size + logical_addr % size, segment
+
+    def _check_access(
+        self, logical_addr: int, length: int, n_segments: int
+    ) -> None:
         size = self.device.segment_size
         segment = logical_addr // size
         offset = logical_addr % size
@@ -310,10 +382,8 @@ class MemoryController:
                 f"access of {length} bytes at offset {offset} crosses the "
                 f"{size}-byte segment boundary"
             )
-        if not 0 <= segment < self.n_segments:
+        if not 0 <= segment < n_segments:
             raise IndexError(f"logical segment {segment} out of range")
-        phys_segment = self.wear_leveling.to_physical(segment)
-        return phys_segment * size + offset, segment
 
     @staticmethod
     def _as_u8(data: bytes | np.ndarray) -> np.ndarray:

@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +54,20 @@ from repro.nvm.energy import EnergyModel
 from repro.nvm.health import HealthState
 from repro.nvm.latency import LatencyModel
 from repro.nvm.stats import DeviceStats
-from repro.util.bits import popcount_array, popcount_rows
+from repro.util.bits import popcount_array, popcount_bytes
 from repro.util.rng import rng_from_seed
 
 #: Budget assigned to cells exempted from wear-out (``immortal_prefix``).
 _IMMORTAL_BUDGET = np.int64(2**62)
+
+
+def _ints(values) -> list[int]:
+    """Per-row scalars as a list (cheap to loop over)."""
+    if isinstance(values, list):
+        return values
+    if isinstance(values, np.ndarray):
+        return values.reshape(-1).tolist()
+    return [int(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -113,8 +124,7 @@ class DriftConfig:
     immortal_prefix_segments: int = 0
 
 
-@dataclass(frozen=True)
-class WriteResult:
+class WriteResult(NamedTuple):
     """Outcome of one media write."""
 
     bits_programmed: int
@@ -225,6 +235,7 @@ class NVMDevice:
             raise ValueError(f"unknown initial_fill {initial_fill!r}")
 
         self.segment_write_count = np.zeros(self.n_segments, dtype=np.int64)
+        self._last_rows: tuple = (None, None)
         self._bit_wear: np.ndarray | None = None
         if track_bit_wear:
             self._bit_wear = np.zeros(capacity_bytes * 8, dtype=np.int64)
@@ -337,17 +348,21 @@ class NVMDevice:
         Accounting is identical to ``B`` individual :meth:`read_array`
         calls; the gather itself is one fancy-indexed copy.
         """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        for addr in addrs:
-            self._check_range(int(addr), length)
-        n = addrs.size
+        addrs = np.asarray(addrs, dtype=np.int64).reshape(-1)
+        lengths = np.full(addrs.size, length, dtype=np.int64)
+        return self.read_rows(addrs, lengths).reshape(addrs.size, length)
+
+    def read_rows(self, addrs, lengths) -> np.ndarray:
+        """Read ragged rows (``lengths[i]`` bytes at ``addrs[i]``), returned
+        concatenated in row order.  Accounted like one :meth:`read_array`
+        call per row; the gather is one fancy-indexed copy."""
+        lengths = _ints(lengths)
+        idx = self._row_index(_ints(addrs), lengths)
+        n, total = len(lengths), sum(lengths)
         self.stats.reads += n
-        self.stats.bytes_read += n * length
-        self.stats.read_energy_pj += n * self.energy_model.read_energy(length)
-        self.stats.read_latency_ns += n * self.latency_model.read_latency(
-            length
-        )
-        idx = addrs[:, None] + np.arange(length)
+        self.stats.bytes_read += total
+        self.stats.read_energy_pj += self.energy_model.read_energy(total, n)
+        self.stats.read_latency_ns += self.latency_model.read_latency(total, n)
         out = self._content[idx]
         if self._drift_packed is not None:
             np.bitwise_xor(out, self._drift_packed[idx], out=out)
@@ -381,7 +396,7 @@ class NVMDevice:
         program_mask: np.ndarray | None = None,
         aux_bits: int = 0,
     ) -> WriteResult:
-        """Program cells at ``addr``.
+        """Program cells at ``addr`` (a one-row :meth:`program_many`).
 
         Args:
             new: bytes to store (only bits selected by ``program_mask`` take
@@ -396,88 +411,13 @@ class NVMDevice:
             A :class:`WriteResult` with the activity and cost of this write.
         """
         new = self._as_u8(new)
-        length = new.size
-        self._check_range(addr, length)
-        if program_mask is None:
-            mask = np.full(length, 0xFF, dtype=np.uint8)
-        else:
-            mask = self._as_u8(program_mask)
-            if mask.size != length:
+        if program_mask is not None:
+            program_mask = self._as_u8(program_mask)
+            if program_mask.size != new.size:
                 raise ValueError("program_mask length must match data length")
-        if self._drift_packed is not None:
-            # Any write refreshes drifted cells in its range: schemes plan
-            # masks against *sensed* old content, so a drifted cell whose
-            # sensed value happens to match the target would otherwise be
-            # skipped and keep its stale true charge.  The extra pulses are
-            # charged to wear/energy — refresh is not free.
-            mask = np.bitwise_or(
-                mask, self._drift_packed[addr : addr + length]
-            )
-
-        if self.faults is not None:
-            # A torn write persists only the first n programmed bytes; no
-            # accounting happens (the stats are DRAM and die with the
-            # process the injector is about to kill).
-            self.faults.fire(
-                "device.program",
-                payload_len=length,
-                payload_writer=lambda n: self._apply_masked(
-                    addr, new[:n], mask[:n]
-                ),
-            )
-
-        old = self._content[addr : addr + length]
-        # Pulses aimed at stuck cells silently fail: they cost energy and
-        # wear (counted from the full mask) but can no longer flip anything.
-        if self._stuck_packed is not None:
-            eff_mask = np.bitwise_and(
-                mask,
-                np.bitwise_not(self._stuck_packed[addr : addr + length]),
-            )
-        else:
-            eff_mask = mask
-        flips_mask = np.bitwise_and(eff_mask, np.bitwise_xor(old, new))
-        bits_programmed = popcount_array(mask)
-        bits_flipped = popcount_array(flips_mask)
-        dirty_lines = self._dirty_lines(addr, mask)
-
-        self._apply_masked(addr, new, mask)
-
-        energy = self.energy_model.write_energy(
-            length, bits_programmed, dirty_lines, aux_bits
-        )
-        latency = self.latency_model.write_latency(
-            length, bits_programmed + aux_bits, dirty_lines
-        )
-
-        self.stats.writes += 1
-        self.stats.bytes_written += length
-        self.stats.bits_programmed += bits_programmed
-        self.stats.bits_flipped += bits_flipped
-        self.stats.aux_bits_programmed += aux_bits
-        self.stats.dirty_lines_written += dirty_lines
-        self.stats.write_energy_pj += energy
-        self.stats.write_latency_ns += latency
-
-        first_seg = addr // self.segment_size
-        last_seg = (addr + length - 1) // self.segment_size
-        self.segment_write_count[first_seg : last_seg + 1] += 1
-
-        if self._bit_wear is not None and bits_programmed:
-            bit_positions = np.flatnonzero(np.unpackbits(mask))
-            self._bit_wear[addr * 8 + bit_positions] += 1
-
-        if self._wear_count is not None:
-            self._note_wear(addr, mask)
-
-        return WriteResult(
-            bits_programmed=bits_programmed,
-            bits_flipped=bits_flipped,
-            dirty_lines=dirty_lines,
-            aux_bits=aux_bits,
-            energy_pj=energy,
-            latency_ns=latency,
-        )
+        return self.program_many(
+            [addr], new, program_mask, aux_bits, lengths=[new.size]
+        )[0]
 
     def program_many(
         self,
@@ -485,166 +425,199 @@ class NVMDevice:
         new: np.ndarray,
         program_masks: np.ndarray | None = None,
         aux_bits=0,
+        lengths=None,
     ) -> list[WriteResult]:
-        """Program a batch of equal-length, non-overlapping writes.
+        """Program a batch of non-overlapping rows.
 
         Semantically identical to calling :meth:`program` once per row (in
         row order) — including the per-row ``"device.program"`` fault site,
         so a mid-batch crash or torn write persists exactly the rows (and
         row prefix) that a sequential loop would have — but the accounting
-        is one vectorised pass instead of ``B`` scalar ones.
+        is one vectorised pass over a flat index of every row's bytes.
 
         Args:
             addrs: one media address per row.
-            new: ``(B, L)`` bytes to store.
-            program_masks: ``(B, L)`` per-row masks; ``None`` pulses all.
+            new: ``(B, L)`` bytes to store; with ``lengths``, the ``B``
+                ragged rows concatenated in row order.
+            program_masks: same layout as ``new``; ``None`` pulses all.
             aux_bits: scalar or length-``B`` per-row metadata cell counts.
+            lengths: per-row byte counts of ragged rows.
 
         Raises:
             ValueError: when rows overlap (sequential writes to overlapping
                 ranges are order-dependent; callers must serialise those).
         """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        new = np.atleast_2d(np.asarray(new, dtype=np.uint8))
-        n_rows, length = new.shape
-        if addrs.size != n_rows:
-            raise ValueError("addrs length must match data row count")
+        addr_list = _ints(addrs)
+        n_rows = len(addr_list)
+        new = np.asarray(new, dtype=np.uint8)
+        if lengths is None:
+            new = np.atleast_2d(new)
+            if new.shape[0] != n_rows:
+                raise ValueError("addrs length must match data row count")
+            lengths = [new.shape[1]] * n_rows
+        else:
+            lengths = _ints(lengths)
+            if len(lengths) != n_rows or sum(lengths) != new.size:
+                raise ValueError("row lengths must match addrs and data")
+        if program_masks is not None:
+            program_masks = np.asarray(program_masks, dtype=np.uint8)
+            if program_masks.size != new.size or (
+                program_masks.ndim > 1 and program_masks.shape != new.shape
+            ):
+                raise ValueError("program_mask shape must match data shape")
+            program_masks = program_masks.reshape(-1)
+        new = new.reshape(-1)
         if n_rows == 0:
             return []
-        for addr in addrs:
-            self._check_range(int(addr), length)
+        idx = self._row_index(addr_list, lengths)
+        ends = [a + n for a, n in zip(addr_list, lengths)]
         if n_rows > 1:
-            ordered = np.sort(addrs)
-            if int(np.min(ordered[1:] - ordered[:-1])) < length:
-                raise ValueError("program_many rows must not overlap")
+            order = sorted(range(n_rows), key=addr_list.__getitem__)
+            for prev, nxt in zip(order, order[1:]):
+                if addr_list[nxt] < ends[prev]:
+                    raise ValueError("program_many rows must not overlap")
+        starts = list(accumulate(lengths[:-1], initial=0))
         if program_masks is None:
-            masks = np.full((n_rows, length), 0xFF, dtype=np.uint8)
+            masks = np.full(new.size, 0xFF, dtype=np.uint8)
         else:
-            masks = np.atleast_2d(np.asarray(program_masks, dtype=np.uint8))
-            if masks.shape != new.shape:
-                raise ValueError("program_mask shape must match data shape")
-        aux = np.broadcast_to(
-            np.asarray(aux_bits, dtype=np.int64), (n_rows,)
+            masks = program_masks
+        aux = (
+            [int(aux_bits)] * n_rows if np.ndim(aux_bits) == 0 else _ints(aux_bits)
         )
 
-        idx = addrs[:, None] + np.arange(length)
         if self._drift_packed is not None:
-            # Force-pulse drifted cells in every written row (see program()).
-            masks = np.bitwise_or(masks, self._drift_packed[idx])
-        old = self._content[idx].copy()
-        # Capture the pre-call stuck state: rows never overlap, so per-row
-        # flip accounting matches a sequential loop exactly.
+            # Any write refreshes drifted cells in its range: schemes plan
+            # masks against *sensed* old content, so a drifted cell whose
+            # sensed value happens to match the target would otherwise be
+            # skipped and keep its stale true charge.  The extra pulses are
+            # charged to wear/energy — refresh is not free.
+            masks = masks | self._drift_packed[idx]
+        old = self._content[idx]
+        # Pulses aimed at stuck cells silently fail: they cost energy and
+        # wear (counted from the full mask) but can no longer flip
+        # anything.  Rows never overlap, so the pre-call stuck state gives
+        # exactly a sequential loop's per-row flip accounting.
         if self._stuck_packed is not None:
-            eff_masks = np.bitwise_and(
-                masks, np.bitwise_not(self._stuck_packed[idx])
-            )
+            eff_masks = masks & ~self._stuck_packed[idx]
         else:
             eff_masks = masks
+        flips = eff_masks & (old ^ new)
 
         if self.faults is not None:
             # Fire the fault site and persist row by row, in row order, so
             # crash points land between rows exactly as in a scalar loop
-            # (including ``device.stuck_at`` firings between rows).
-            for i in range(n_rows):
+            # (including ``device.stuck_at`` firings between rows).  A torn
+            # write persists only the first n programmed bytes of its row;
+            # no accounting happens (the stats are DRAM and die with the
+            # process the injector is about to kill).
+            for addr, lo, length in zip(addr_list, starts, lengths):
+                hi = lo + length
                 self.faults.fire(
                     "device.program",
                     payload_len=length,
-                    payload_writer=lambda n, i=i: self._apply_masked(
-                        int(addrs[i]), new[i, :n], masks[i, :n]
+                    payload_writer=lambda n, a=addr, lo=lo: self._apply_masked(
+                        a, new[lo : lo + n], masks[lo : lo + n]
                     ),
                 )
-                self._apply_masked(int(addrs[i]), new[i], masks[i])
+                self._apply_masked(addr, new[lo:hi], masks[lo:hi])
                 if self._wear_count is not None:
-                    self._note_wear(int(addrs[i]), masks[i])
-        else:
-            self._content[idx] = np.bitwise_or(
-                np.bitwise_and(old, np.bitwise_not(eff_masks)),
-                np.bitwise_and(new, eff_masks),
-            )
-            if self._drift_packed is not None:
-                self._drift_packed[idx] = np.bitwise_and(
-                    self._drift_packed[idx], np.bitwise_not(eff_masks)
-                )
-                rows, cols = np.nonzero(np.unpackbits(eff_masks, axis=1))
-                if rows.size:
-                    self._last_program_tick[addrs[rows] * 8 + cols] = (
-                        self._clock
+                    self._note_wear(
+                        self._bit_positions(idx[lo:hi], masks[lo:hi])
                     )
+        else:
+            self._content[idx] = old ^ flips
+            if self._drift_packed is not None:
+                # An effective pulse restores a drifted cell and restarts
+                # its retention timer.
+                self._drift_packed[idx] &= ~eff_masks
+                self._last_program_tick[
+                    self._bit_positions(idx, eff_masks)
+                ] = self._clock
             if self._wear_count is not None:
-                for i in range(n_rows):
-                    self._note_wear(int(addrs[i]), masks[i])
+                self._note_wear(self._bit_positions(idx, masks))
 
-        flips_masks = np.bitwise_and(eff_masks, np.bitwise_xor(old, new))
-        bits_programmed = popcount_rows(masks)
-        bits_flipped = popcount_rows(flips_masks)
-
+        # One popcount pass over masks and flips side by side.
+        counts = np.add.reduceat(
+            popcount_bytes(np.concatenate((masks, flips))),
+            starts + [idx.size + s for s in starts],
+            dtype=np.int64,
+        ).tolist()
+        bits_programmed, bits_flipped = counts[:n_rows], counts[n_rows:]
         line = self.energy_model.cache_line_bytes
-        if length % line == 0 and not np.any(addrs % line):
-            per_line = masks.reshape(n_rows, length // line, line)
-            dirty_lines = np.count_nonzero(
-                per_line.any(axis=2), axis=1
-            ).astype(np.int64)
+        if all(a // line == (e - 1) // line for a, e in zip(addr_list, ends)):
+            # Every row within one cache line: dirty iff anything pulsed.
+            dirty_lines = [int(b > 0) for b in bits_programmed]
         else:
-            dirty_lines = np.array(
-                [
-                    self._dirty_lines(int(addrs[i]), masks[i])
-                    for i in range(n_rows)
-                ],
-                dtype=np.int64,
-            )
+            dirty_lines = self._dirty_lines_rows(idx, masks, starts)
+        energy_model, latency_model = self.energy_model, self.latency_model
+        energy = [
+            energy_model.write_energy(n, b, d, x)
+            for n, b, d, x in zip(lengths, bits_programmed, dirty_lines, aux)
+        ]
+        latency = [
+            latency_model.write_latency(n, b + x, d)
+            for n, b, d, x in zip(lengths, bits_programmed, dirty_lines, aux)
+        ]
 
-        energy = self.energy_model.write_energy_many(
-            length, bits_programmed, dirty_lines, aux
-        )
-        latency = self.latency_model.write_latency_many(
-            length, bits_programmed + aux, dirty_lines
-        )
+        stats = self.stats
+        stats.writes += n_rows
+        stats.bytes_written += idx.size
+        stats.bits_programmed += sum(bits_programmed)
+        stats.bits_flipped += sum(bits_flipped)
+        stats.aux_bits_programmed += sum(aux)
+        stats.dirty_lines_written += sum(dirty_lines)
+        stats.write_energy_pj += sum(energy)
+        stats.write_latency_ns += sum(latency)
 
-        self.stats.writes += n_rows
-        self.stats.bytes_written += n_rows * length
-        self.stats.bits_programmed += int(bits_programmed.sum())
-        self.stats.bits_flipped += int(bits_flipped.sum())
-        self.stats.aux_bits_programmed += int(aux.sum())
-        self.stats.dirty_lines_written += int(dirty_lines.sum())
-        self.stats.write_energy_pj += float(energy.sum())
-        self.stats.write_latency_ns += float(latency.sum())
-
-        first_seg = addrs // self.segment_size
-        last_seg = (addrs + length - 1) // self.segment_size
-        if np.array_equal(first_seg, last_seg):
-            np.add.at(self.segment_write_count, first_seg, 1)
-        else:
-            for lo, hi in zip(first_seg, last_seg):
-                self.segment_write_count[lo : hi + 1] += 1
+        size = self.segment_size
+        counter = self.segment_write_count
+        for addr, end in zip(addr_list, ends):
+            first, last = addr // size, (end - 1) // size
+            if first == last:
+                counter[first] += 1
+            else:
+                counter[first : last + 1] += 1
 
         if self._bit_wear is not None:
-            rows, cols = np.nonzero(np.unpackbits(masks, axis=1))
-            np.add.at(self._bit_wear, addrs[rows] * 8 + cols, 1)
+            # Rows are disjoint: no bit repeats.
+            self._bit_wear[self._bit_positions(idx, masks)] += 1
 
         return [
             WriteResult(
-                bits_programmed=int(bits_programmed[i]),
-                bits_flipped=int(bits_flipped[i]),
-                dirty_lines=int(dirty_lines[i]),
-                aux_bits=int(aux[i]),
-                energy_pj=float(energy[i]),
-                latency_ns=float(latency[i]),
+                bits_programmed=b,
+                bits_flipped=f,
+                dirty_lines=d,
+                aux_bits=x,
+                energy_pj=e,
+                latency_ns=t,
             )
-            for i in range(n_rows)
+            for b, f, d, x, e, t in zip(
+                bits_programmed, bits_flipped, dirty_lines, aux, energy,
+                latency,
+            )
         ]
+
+    def has_faulty_cells(self, addrs, lengths) -> bool:
+        """Whether any cell in the rows is stuck or drifted — the only
+        cells a program can fail to land on as masked."""
+        idx = self._row_index(_ints(addrs), _ints(lengths))
+        return bool(
+            (self._stuck_packed is not None and self._stuck_packed[idx].any())
+            or (self._drift_packed is not None and self._drift_packed[idx].any())
+        )
 
     # ------------------------------------------------------------------ wear
 
-    def _note_wear(self, addr: int, mask: np.ndarray) -> None:
-        """Charge one program cycle to every masked cell and mark cells
-        whose budget is now exhausted as stuck (at their current value).
+    def _note_wear(self, positions: np.ndarray) -> None:
+        """Charge one program cycle to every cell at the given global bit
+        ``positions`` (one program call's full mask) and mark cells whose
+        budget is now exhausted as stuck (at their current value).
 
         The exhausting pulse itself still landed — a cell fails *after*
         reaching its budget, so subsequent programs are the ones that
         silently fail.  Fires ``"device.stuck_at"`` once per program call
         that kills at least one new cell.
         """
-        positions = addr * 8 + np.flatnonzero(np.unpackbits(mask))
         if positions.size == 0:
             return
         self._wear_count[positions] += 1
@@ -999,19 +972,53 @@ class NVMDevice:
             if positions.size:
                 self._last_program_tick[positions] = self._clock
 
-    def _dirty_lines(self, addr: int, mask: np.ndarray) -> int:
-        line = self.energy_model.cache_line_bytes
-        first_line = addr // line
-        last_line = (addr + mask.size - 1) // line
-        n_lines = last_line - first_line + 1
-        if n_lines == 1:
-            return int(mask.any())
-        # Pad the mask out to whole lines, then check each line for activity.
-        padded = np.zeros(n_lines * line, dtype=np.uint8)
-        offset = addr - first_line * line
-        padded[offset : offset + mask.size] = mask
-        per_line = padded.reshape(n_lines, line)
-        return int(np.count_nonzero(per_line.any(axis=1)))
+    def _dirty_lines_rows(
+        self, idx: np.ndarray, masks: np.ndarray, starts: list[int]
+    ) -> list[int]:
+        """Per-row count of cache lines holding at least one programmed
+        cell (``idx``/``masks`` flat over rows beginning at ``starts``)."""
+        active = np.flatnonzero(masks)
+        if active.size == 0:
+            return [0] * len(starts)
+        lines = idx[active] // self.energy_model.cache_line_bytes
+        rows = np.searchsorted(starts, active, side="right") - 1
+        # Bytes of a row ascend, so each new (row, line) pair starts a run.
+        first = np.ones(active.size, dtype=bool)
+        first[1:] = (lines[1:] != lines[:-1]) | (rows[1:] != rows[:-1])
+        return np.bincount(rows[first], minlength=len(starts)).tolist()
+
+    def _row_index(self, addrs: list[int], lengths: list[int]) -> np.ndarray:
+        """Validated flat media index of every byte of the rows, in row
+        order.  One write pass asks for the same rows several times (read,
+        program, verify), so the last index is memoised."""
+        key = (tuple(addrs), tuple(lengths))
+        # One read of the (key, index) pair: the device has no lock, and a
+        # concurrent writer may replace it between two reads.
+        last_key, last_idx = self._last_rows
+        if key == last_key:
+            return last_idx
+        total = 0
+        offsets = []
+        for addr, length in zip(addrs, lengths):
+            self._check_range(addr, length)
+            offsets.append(addr - total)
+            total += length
+        if len(offsets) == 1:
+            idx = np.arange(addrs[0], addrs[0] + total, dtype=np.int64)
+        else:
+            idx = np.arange(total, dtype=np.int64) + np.repeat(
+                np.asarray(offsets, dtype=np.int64), lengths
+            )
+        idx.flags.writeable = False
+        self._last_rows = (key, idx)
+        return idx
+
+    @staticmethod
+    def _bit_positions(idx: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Global bit positions of the set bits of ``masks`` laid over the
+        media bytes ``idx``."""
+        bits = np.flatnonzero(np.unpackbits(masks))
+        return idx[bits >> 3] * 8 + (bits & 7)
 
     def _check_range(self, addr: int, length: int) -> None:
         if length <= 0:

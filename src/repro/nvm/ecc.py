@@ -80,6 +80,15 @@ class ErrorCorrectingPointers:
                 out[byte] &= np.uint8(~bit & 0xFF)
         return data if out is None else out
 
+    def correct_rows(self, segments, offsets, bounds, data: np.ndarray) -> None:
+        """Patch, in place, flat ``data`` holding ragged rows (row ``i`` is
+        ``data[bounds[i]:bounds[i + 1]]``, read at byte ``offsets[i]`` of
+        ``segments[i]``) — :meth:`correct` for every row that has entries."""
+        for i, segment in enumerate(segments):
+            if self._entries.get(segment):
+                lo, hi = bounds[i], bounds[i + 1]
+                data[lo:hi] = self.correct(segment, data[lo:hi], offsets[i])
+
     # --------------------------------------------------------------- updates
 
     def record(self, segment: int, bit_offsets, bit_values) -> bool:

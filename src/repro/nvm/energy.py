@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -71,29 +69,14 @@ class EnergyModel:
             + (n_programmed_bits + n_aux_bits) * self.flip_energy_pj
         )
 
-    def write_energy_many(
-        self,
-        n_bytes: int,
-        n_programmed_bits,
-        n_dirty_lines,
-        n_aux_bits=0,
-    ):
-        """Vectorised :meth:`write_energy`: per-write activity arrays in,
-        per-write energy array out (same-size writes only)."""
-        if n_bytes <= 0:
-            raise ValueError("write size must be positive")
-        return (
-            self.static_write_energy_pj
-            + np.asarray(n_dirty_lines) * self.line_energy_pj
-            + (np.asarray(n_programmed_bits) + np.asarray(n_aux_bits))
-            * self.flip_energy_pj
-        )
-
-    def read_energy(self, n_bytes: int) -> float:
-        """Energy (pJ) for one read of ``n_bytes``."""
-        if n_bytes <= 0:
+    def read_energy(self, n_bytes: int, n_reads: int = 1) -> float:
+        """Energy (pJ) for ``n_reads`` reads of ``n_bytes`` in total."""
+        if n_bytes < n_reads or n_reads <= 0:
             raise ValueError("read size must be positive")
-        return self.static_read_energy_pj + n_bytes * self.read_energy_per_byte_pj
+        return (
+            n_reads * self.static_read_energy_pj
+            + n_bytes * self.read_energy_per_byte_pj
+        )
 
     def dram_energy(self, n_bits: int) -> float:
         """Energy (pJ) for touching ``n_bits`` of DRAM."""

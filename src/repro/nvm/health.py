@@ -47,15 +47,19 @@ class SegmentRetiredError(RuntimeError):
 
     The segment is retired: its address must be quarantined and the write
     retried elsewhere.  Carries the failing physical segment on
-    ``.segment``.
+    ``.segment`` and, when raised by a batched write, the index of the
+    failing row on ``.row`` (rows before it landed, rows after it did not).
     """
 
-    def __init__(self, segment: int, message: str | None = None) -> None:
+    def __init__(
+        self, segment: int, message: str | None = None, row: int = 0
+    ) -> None:
         super().__init__(
             message
             or f"segment {segment} exceeded its ECP correction capacity"
         )
         self.segment = segment
+        self.row = row
 
 
 class HealthState:

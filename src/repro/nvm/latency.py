@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -40,21 +38,8 @@ class LatencyModel:
             + n_programmed_bits * self.bit_program_ns
         )
 
-    def write_latency_many(
-        self, n_bytes: int, n_programmed_bits, n_dirty_lines
-    ):
-        """Vectorised :meth:`write_latency`: per-write activity arrays in,
-        per-write latency array out (same-size writes only)."""
-        if n_bytes <= 0:
-            raise ValueError("write size must be positive")
-        return (
-            self.static_write_ns
-            + np.asarray(n_dirty_lines) * self.line_write_ns
-            + np.asarray(n_programmed_bits) * self.bit_program_ns
-        )
-
-    def read_latency(self, n_bytes: int) -> float:
-        """Latency (ns) for one read of ``n_bytes``."""
-        if n_bytes <= 0:
+    def read_latency(self, n_bytes: int, n_reads: int = 1) -> float:
+        """Latency (ns) for ``n_reads`` reads of ``n_bytes`` in total."""
+        if n_bytes < n_reads or n_reads <= 0:
             raise ValueError("read size must be positive")
-        return self.static_read_ns + n_bytes * self.byte_read_ns
+        return n_reads * self.static_read_ns + n_bytes * self.byte_read_ns

@@ -9,7 +9,13 @@ segments)::
                      [crc32: 4B][valid: 1B]
 
 The undo log holds one transaction at a time (records restart at offset 16
-on every ``TX_BEGIN``), matching PMDK's per-transaction undo logs.  Each
+on every ``TX_BEGIN``), matching PMDK's per-transaction undo logs.  A
+transaction *stages* its media rows — log header, undo records, in-place
+data, flag clear — and lands them through ordered
+:meth:`~repro.nvm.controller.MemoryController.write_many` flushes (one
+per transaction with ``defer_flush``); the rows, their order and their
+bytes are exactly those of writing each one through as it is issued, so
+the log format and :meth:`recover` do not depend on the batching.  Each
 record is guarded twice against tearing: the ``valid`` byte is pre-zeroed
 *before* the record body is written and set to 1 only after the full body
 and checksum have landed, and the CRC32 covers header plus old data, so a
@@ -78,8 +84,16 @@ class PersistentPool:
         self.meta_segments = meta_segments
         self.faults = faults
         self._log_capacity = log_segments * controller.segment_size
+        # ``_log_head`` covers flushed records only (what a rollback may
+        # replay); ``_log_tail`` is where the next staged record goes.
         self._log_head = _LOG_HEADER_BYTES
+        self._log_tail = _LOG_HEADER_BYTES
         self._tx_active = False
+        # Rows of the open transaction not yet on the media, in issue
+        # order: (address, bytes, fault site fired just before the row).
+        self._staged: list[tuple[int, bytes, tuple | None]] = []
+        # (staged index of a record's valid row, log offset after it).
+        self._staged_records: list[tuple[int, int]] = []
         self._free: deque[int] = deque(
             controller.segment_address(i)
             for i in range(self.object_start_segment, controller.n_segments)
@@ -203,20 +217,35 @@ class PersistentPool:
         return set(self._allocated)
 
     def read(self, addr: int, length: int) -> bytes:
-        """Direct (non-transactional) read."""
-        return self.controller.read(addr, length)
+        """Direct read; inside a transaction it sees the rows the
+        transaction has staged but not yet flushed."""
+        data = self.controller.read(addr, length)
+        end = addr + length
+        patched = None
+        for row_addr, row, _ in self._staged:
+            lo, hi = max(row_addr, addr), min(row_addr + len(row), end)
+            if lo < hi:
+                if patched is None:
+                    patched = bytearray(data)
+                patched[lo - addr : hi - addr] = row[lo - row_addr : hi - row_addr]
+        return data if patched is None else bytes(patched)
 
     def write(self, addr: int, data: bytes) -> None:
-        """Direct (non-transactional, non-failure-atomic) write."""
+        """Direct (non-transactional, non-failure-atomic) write.  Rows an
+        open transaction has staged land first, keeping media order."""
+        self._flush()
         self.controller.write(addr, data)
 
-    def transaction(self) -> Transaction:
+    def transaction(self, defer_flush: bool = False) -> Transaction:
         """Begin an undo-log transaction::
 
             with pool.transaction() as tx:
                 tx.write(addr, new_bytes)
+
+        ``defer_flush`` lands the whole transaction as one ordered flush
+        at commit (see :class:`Transaction`).
         """
-        return Transaction(self)
+        return Transaction(self, defer_flush)
 
     def format(self) -> None:
         """Initialise the log header on fresh media.
@@ -227,7 +256,7 @@ class PersistentPool:
         when re-opening existing data.
         """
         self.controller.write(0, b"\x00")
-        self._log_head = _LOG_HEADER_BYTES
+        self._log_head = self._log_tail = _LOG_HEADER_BYTES
         self._tx_active = False
 
     # ---------------------------------------------------------------- crash
@@ -302,7 +331,7 @@ class PersistentPool:
             self.faults.fire(site, **kwargs)
 
     def _log_begin(self) -> None:
-        """TX_BEGIN: reset the record cursor and raise the active flag."""
+        """TX_BEGIN: reset the record cursor and stage the active flag."""
         if self._tx_active:
             raise RuntimeError(
                 "a transaction is already active on this pool; the undo log "
@@ -310,20 +339,22 @@ class PersistentPool:
             )
         self._fire("tx.begin")
         self._tx_active = True
-        self._log_head = _LOG_HEADER_BYTES
-        self._log_terminate(self._log_head)
-        self.controller.write(0, b"\x01")
+        self._staged.clear()  # leftovers of a crashed transaction
+        self._staged_records.clear()
+        self._log_head = self._log_tail = _LOG_HEADER_BYTES
+        self._log_terminate(self._log_tail)
+        self._stage(0, b"\x01")
 
     def _log_record(self, addr: int, old: bytes) -> None:
-        """Append one undo record and mark it valid."""
+        """Stage one undo record and the row that marks it valid."""
         body = _RECORD_HEADER.pack(addr, len(old)) + old
         total = len(body) + _RECORD_TRAILER
-        if self._log_head + total > self._log_capacity:
+        if self._log_tail + total > self._log_capacity:
             raise RuntimeError(
                 "undo log full: transaction touches more data than the log "
                 f"region holds ({self.log_capacity_bytes} B)"
             )
-        head = self._log_head
+        head = self._log_tail
         valid_offset = head + len(body) + _RECORD_CRC.size
         # Pre-zero the valid byte: the log region is reused across
         # transactions, so the offset may hold a stale 1 from an earlier
@@ -336,27 +367,38 @@ class PersistentPool:
             self._log_capacity
         ):
             tail_zero += _RECORD_HEADER.size
-        self._log_write(valid_offset, b"\x00" * tail_zero)
+        self._log_stage(valid_offset, b"\x00" * tail_zero)
         payload = body + _RECORD_CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
-        self._fire(
-            "tx.log",
-            payload_len=len(payload),
-            payload_writer=lambda n: self._log_write(
-                head, payload[:n], torn=True
-            ),
-        )
-        self._log_write(head, payload)
+        site = None
+        if self.faults is not None:
+            site = ("tx.log", dict(
+                payload_len=len(payload),
+                payload_writer=lambda n: self._log_torn(head, payload[:n]),
+            ))
+        self._log_stage(head, payload, site)
         # The valid byte is persisted only after the body and checksum.
-        self._log_write(valid_offset, b"\x01")
-        self._log_head = head + total
+        self._stage(valid_offset, b"\x01")
+        self._log_tail = head + total
+        self._staged_records.append((len(self._staged) - 1, self._log_tail))
+
+    def _log_commit(self) -> None:
+        """Stage the flag clear behind ``tx.commit`` and flush the whole
+        transaction; the log is then logically empty."""
+        self._stage(0, b"\x00", site=("tx.commit", {}))
+        self._flush()
+        self._log_head = self._log_tail = _LOG_HEADER_BYTES
+        self._tx_active = False
 
     def _log_terminate(self, offset: int) -> None:
         """Zero the next record header (length 0 ends the recovery scan)."""
         if offset + _RECORD_HEADER.size + _RECORD_TRAILER <= self._log_capacity:
-            self._log_write(offset, b"\x00" * _RECORD_HEADER.size)
+            self._log_stage(offset, b"\x00" * _RECORD_HEADER.size)
 
     def _log_rollback(self) -> None:
-        """Abort path: replay this transaction's records in reverse."""
+        """Abort path: replay this transaction's flushed records in
+        reverse (staged rows never reached the media)."""
+        self._staged.clear()
+        self._staged_records.clear()
         records = []
         offset = _LOG_HEADER_BYTES
         while offset < self._log_head:
@@ -374,23 +416,75 @@ class PersistentPool:
     def _log_finish(self) -> None:
         """Clear the active flag; the log is logically empty."""
         self.controller.write(0, b"\x00")
-        self._log_head = _LOG_HEADER_BYTES
+        self._log_head = self._log_tail = _LOG_HEADER_BYTES
         self._tx_active = False
 
-    def _log_write(self, offset: int, data: bytes, torn: bool = False) -> None:
-        """Segment-chunked write inside the log region (``torn`` routes
-        through the crash-interrupted program path of the controller)."""
-        if not data:
+    def _stage(self, addr: int, data: bytes, site: tuple | None = None) -> None:
+        """Queue one media row of the open transaction; ``site`` is a
+        ``(name, kwargs)`` fault site that fires right before it lands."""
+        self._staged.append((addr, data, site))
+
+    def _flush(self) -> None:
+        """Land every staged row, in order, as one ordered batch.
+
+        Without an injector that is one ``write_many`` call.  With one,
+        rows land one at a time behind their fault sites, so every crash
+        point sits exactly where writing each row through would put it.
+        A :class:`SegmentRetiredError` lands the rows before the failing
+        one (and the failing row itself) and drops the rest; ``_log_head``
+        then covers exactly the records whose valid row landed — what a
+        rollback may replay.
+        """
+        staged, records = self._staged, self._staged_records
+        if not staged:
             return
-        write = (
-            self.controller.torn_program if torn else self.controller.write
-        )
+        self._staged, self._staged_records = [], []
+        try:
+            if self.faults is None:
+                self.controller.write_many(
+                    [addr for addr, _, _ in staged],
+                    [data for _, data, _ in staged],
+                )
+            else:
+                for row, (addr, data, site) in enumerate(staged):
+                    if site is not None:
+                        self._fire(site[0], **site[1])
+                    try:
+                        self.controller.write(addr, data)
+                    except SegmentRetiredError as exc:
+                        exc.row = row
+                        raise
+        except SegmentRetiredError as exc:
+            for valid_row, end in records:
+                if valid_row < exc.row:
+                    self._log_head = end
+            raise
+        if records:
+            self._log_head = records[-1][1]
+
+    def _log_stage(
+        self, offset: int, data: bytes, site: tuple | None = None
+    ) -> None:
+        """Stage a log-region write as segment-sized rows (``site`` fires
+        before the first)."""
+        for addr, chunk in self._log_chunks(offset, data):
+            self._stage(addr, chunk, site)
+            site = None
+
+    def _log_torn(self, offset: int, data: bytes) -> None:
+        """Crash-interrupted log write (torn-write payload writer): the
+        segment-sized rows of ``data`` land without verify."""
+        for addr, chunk in self._log_chunks(offset, data):
+            self.controller.torn_program(addr, chunk)
+
+    def _log_chunks(self, offset: int, data: bytes):
+        """Split a log-region write at segment boundaries."""
         seg = self.controller.segment_size
         cursor = 0
         while cursor < len(data):
             room = seg - ((offset + cursor) % seg)
             chunk = data[cursor : cursor + room]
-            write(offset + cursor, chunk)
+            yield offset + cursor, chunk
             cursor += len(chunk)
 
     def _log_read(self, offset: int, length: int) -> bytes:

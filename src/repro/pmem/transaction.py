@@ -6,6 +6,17 @@ region, marks the record valid, and only then writes the new data in place.
 Commit clears the log's active flag; abort (an exception inside the
 ``with`` block) replays the undo records in reverse.
 
+The media rows are staged and land as ordered flushes (see
+:mod:`repro.pmem.pool`): by default one per step (``TX_BEGIN``, each
+write, commit), or — with ``defer_flush`` — one for the whole transaction
+at commit.  Either way the rows, their order and their bytes are those of
+writing each row through as it is issued, and every fault site fires at
+its place between them, so the write-ahead order and the set of crash
+points do not depend on the batching.  Reads through the pool inside the
+transaction see the staged rows.  A deferred transaction abandoned before
+commit (process death outside any fault site) has landed nothing, which
+recovery treats like a crash before ``TX_BEGIN``.
+
 Because the log lives on the simulated media, a *crash* mid-transaction
 (abandoning the pool object) is recoverable: a new
 :class:`~repro.pmem.pool.PersistentPool` constructed over the same device
@@ -40,10 +51,17 @@ class Transaction:
     ``RuntimeError`` instead of silently corrupting the first transaction's
     undo records.  Transaction objects are single-use: re-entering one that
     already committed or rolled back also raises.
+
+    Args:
+        pool: the :class:`~repro.pmem.pool.PersistentPool` to log into.
+        defer_flush: stage every row until commit and land the whole
+            transaction as one ordered flush, instead of one flush per
+            step.
     """
 
-    def __init__(self, pool) -> None:
+    def __init__(self, pool, defer_flush: bool = False) -> None:
         self._pool = pool
+        self._defer_flush = defer_flush
         self._active = False
         self._finished = False
 
@@ -57,6 +75,8 @@ class Transaction:
             )
         self._pool._log_begin()
         self._active = True
+        if not self._defer_flush:
+            self._pool._flush()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -66,44 +86,56 @@ class Transaction:
             self._active = False
             self._finished = True
             return False
-        if exc_type is None:
-            self._commit()
-            return False
+        try:
+            if exc_type is None:
+                self._pool._log_commit()
+                self._active = False
+                self._finished = True
+                return False
+            # The block raised: land what it staged (rows it would already
+            # have written through), then roll back.
+            self._pool._flush()
+        except CrashError:
+            self._active = False
+            self._finished = True
+            raise
+        except BaseException:
+            self._rollback()
+            raise
         self._rollback()
-        self._active = False
         # Swallow only explicit aborts; real errors propagate.
         return exc_type is TransactionAborted
 
     def write(self, addr: int, data: bytes) -> None:
-        """Log the old content of ``[addr, addr+len)``, then write in place."""
+        """Log the old content of ``[addr, addr+len)``, then write in place
+        (staged rows, landing in that order when the transaction
+        flushes)."""
         if not self._active:
             raise RuntimeError("transaction is not active")
-        old = self._pool.controller.read(addr, len(data))
-        self._pool._log_record(addr, old)
-        # The undo record is persisted and valid: a crash (or torn write)
-        # from here on is rolled back from the log.
-        self._pool._fire(
-            "tx.write",
-            payload_len=len(data),
-            payload_writer=lambda n: self._pool.controller.torn_program(
-                addr, data[:n]
-            ),
-        )
-        self._pool.controller.write(addr, data)
+        pool = self._pool
+        pool._log_record(addr, pool.read(addr, len(data)))
+        # Once the undo record is persisted and valid, a crash (or torn
+        # write) of the data row is rolled back from the log.
+        site = None
+        if pool.faults is not None:
+            site = ("tx.write", dict(
+                payload_len=len(data),
+                payload_writer=lambda n: pool.controller.torn_program(
+                    addr, data[:n]
+                ),
+            ))
+        pool._stage(addr, bytes(data), site)
+        if not self._defer_flush:
+            pool._flush()
 
     def abort(self) -> None:
         """Roll back everything written so far and leave the ``with`` block."""
         raise TransactionAborted()
 
-    def _commit(self) -> None:
-        self._pool._fire("tx.commit")
-        self._pool._log_finish()
-        self._active = False
-        self._finished = True
-
     def _rollback(self) -> None:
         self._pool._log_rollback()
         self._pool._log_finish()
+        self._active = False
         self._finished = True
 
 

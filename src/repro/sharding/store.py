@@ -985,15 +985,31 @@ class ShardedKVStore:
     # --------------------------------------------------------------- telemetry
 
     def telemetry(self) -> dict:
-        """Aggregated telemetry across all shards (see
-        :func:`aggregate_telemetry` for the rollup semantics); with a
+        """Aggregated telemetry across the shards that answer (see
+        :func:`aggregate_telemetry` for the rollup semantics), plus
+        ``"shard_status"``: ``shard_id -> "ok"`` or why that shard is
+        missing from the rollup (``"crashed"``, ``"hung"``,
+        ``"breaker_open"``, ``"error"``).  A downed shard never makes it
+        raise, under every degraded mode — the fleet stays observable
+        during an incident.  Breaker-open shards are not called.  With a
         supervisor attached, its restart/breaker/recovery counters ride
         along under ``"supervisor"``."""
-        out = aggregate_telemetry(
-            self.backend.call_many(
-                [(s, "telemetry", (), None) for s in range(self.n_shards)]
+        status = {s: "breaker_open" for s in range(self.n_shards)
+                  if self._breaker_open(s)}
+        asked = [s for s in range(self.n_shards) if s not in status]
+        try:
+            results = self.backend.call_many(
+                [(s, "telemetry", (), None) for s in asked]
             )
-        )
+            status.update((s, "ok") for s in asked)
+        except ShardUnavailableError as exc:
+            results = exc.partial_results or [None] * len(asked)
+            reported = exc.shard_status or {}
+            for s, result in zip(asked, results):
+                status[s] = reported.get(s, "ok" if result is not None else "error")
+        out = aggregate_telemetry([r for r in results if r is not None])
+        out["n_shards"] = self.n_shards
+        out["shard_status"] = dict(sorted(status.items()))
         if self.supervisor is not None:
             out["supervisor"] = self.supervisor.telemetry()
         return out

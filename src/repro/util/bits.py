@@ -26,6 +26,13 @@ def popcount_array(values: np.ndarray) -> int:
     return int(POPCOUNT_TABLE[values].sum(dtype=np.int64))
 
 
+def popcount_bytes(values: np.ndarray) -> np.ndarray:
+    """Per-byte set-bit counts of a ``uint8`` array (same shape)."""
+    if HAVE_BITWISE_COUNT:
+        return np.bitwise_count(values)
+    return POPCOUNT_TABLE[values]
+
+
 def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of a 2-D ``uint8`` array, as ``int64``.
 
