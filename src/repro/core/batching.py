@@ -80,34 +80,22 @@ class WriteBatcher:
         return len(self._buffer)
 
     def put(self, value: bytes) -> PendingValue:
-        """Buffer a value; returns a handle that resolves after flush.
+        """Buffer a value; returns a handle that resolves after flush (a
+        one-value :meth:`put_many`).
 
         Values longer than a segment are rejected — write those directly
         through the engine.
         """
-        if not isinstance(value, bytes) or not value:
-            raise TypeError("values must be non-empty bytes")
-        if len(value) > self.segment_size:
-            raise ValueError(
-                f"value of {len(value)} bytes exceeds the "
-                f"{self.segment_size}-byte batch size"
-            )
-        if len(self._buffer) + len(value) > self.segment_size:
-            self.flush()
-        handle = PendingValue(self, len(self._buffer), len(value))
-        self._buffer.extend(value)
-        self._open_handles.append(handle)
-        return handle
+        return self.put_many([value])[0]
 
     def put_many(self, values: list[bytes]) -> list[PendingValue]:
         """Buffer many values; full batches are written in one engine call.
 
-        Behaves like sequential :meth:`put` calls, except every batch that
-        fills up along the way is flushed through ``engine.write_many`` —
-        one forward pass and one vectorised device write for all of them.
-        On a write failure no batcher state changes: the engine has already
-        un-claimed the batch addresses and none of the values (or handles)
-        are committed.
+        Every batch that fills up along the way is flushed through
+        ``engine.write_many`` — one forward pass and one device write for
+        all of them.  On a write failure no batcher state changes: the
+        engine has already un-claimed the batch addresses and none of the
+        values (or handles) are committed.
         """
         values = list(values)
         for value in values:

@@ -410,94 +410,97 @@ class E2NVM:
             return addrs
 
     def write(self, value: bytes) -> tuple[int, WriteResult]:
-        """Algorithm 1 end-to-end: place, then differential-write the value.
-
-        Only the value's own ``len(value)`` bytes are written — padded bits
-        used for prediction never reach the media (§4.1).
-
-        A device write error un-claims the address (it is re-clustered back
-        into the DAP) before propagating.  The ``auto_retrain`` hook never
-        raises: retrain trouble is deferred and recorded, not propagated
-        into the PUT.
-
-        A :class:`SegmentRetiredError` — verify-after-write exhausted the
-        segment's ECP capacity — is handled *inside* the engine: the dead
-        address is quarantined, a reserved spare (when available) joins
-        the pool in its place, and the write retries at a fresh placement.
-        Only pool exhaustion escapes.
-        """
-        if len(value) > self.segment_size:
-            raise ValueError(
-                f"value of {len(value)} bytes exceeds segment size "
-                f"{self.segment_size}"
-            )
-        for _ in range(self.controller.n_segments + 1):
-            try:
-                addr = self.place(value)
-            except PoolExhaustedError:
-                # Free capacity ran dry: pull in a reserved spare before
-                # giving up.
-                if self.adopt_spare() is None:
-                    raise
-                continue
-            try:
-                if self.faults is not None:
-                    self.faults.fire("device.write")
-                result = self.controller.write(addr, value)
-            except SegmentRetiredError:
-                self.failed_writes += 1
-                self.quarantine_address(addr)
-                self.adopt_spare()
-                continue
-            except BaseException:
-                self.failed_writes += 1
-                self.release(addr)
-                raise
-            self.record_committed_write()
-            return addr, result
-        raise PoolExhaustedError(
-            "write retries exhausted: every placement candidate retired"
-        )
+        """Algorithm 1 end-to-end for one value (a one-value
+        :meth:`write_many`)."""
+        return self.write_many([value])[0]
 
     def write_many(
         self, values: list[bytes]
     ) -> list[tuple[int, WriteResult]]:
-        """Algorithm 1 for a whole batch: one forward pass, one short DAP
-        claim, one batched differential write with vectorised accounting.
+        """Algorithm 1 for a batch — the engine's one place-and-write loop:
+        one forward pass and one DAP claim place the batch, one
+        ``controller.write_many`` differential-writes it.  Only each
+        value's own ``len(value)`` bytes are written — padded bits used for
+        prediction never reach the media (§4.1).
 
-        Placement is identical to per-value :meth:`write` calls; the device
-        write itself is all-or-nothing for ordinary errors — a failure
-        un-claims every address of the batch (re-clustered back into the
-        DAP) before propagating, so nothing is half-committed.
+        A :class:`SegmentRetiredError` — verify-after-write exhausted a
+        segment's ECP capacity — is handled *inside* the engine: the rows
+        before it have landed and keep their results, the dead address is
+        quarantined, a reserved spare (when available) joins the pool in
+        its place, and that one row is re-placed; later rows keep their
+        claims and land in the next pass.  A pool running dry pulls in a
+        reserved spare before giving up.
 
-        With verify-after-write enabled each value goes through
-        :meth:`write` individually: a mid-batch segment retirement must
-        retry *that one value* on a fresh placement, which all-or-nothing
-        batch semantics cannot express.
+        Any error that escapes un-claims every address the batch still
+        holds (landed rows included; each is re-clustered into the DAP),
+        so a failed batch commits nothing.  The retrain policy, padding
+        statistics and never-raising ``auto_retrain`` hook run once per
+        batch.
         """
         values = list(values)
+        self._check_values(values)
+        if not values:
+            return []
+        addrs = self._claim(values)
+        results = self._write_claimed(addrs, values, replace=True)
+        return list(zip(addrs, results))
+
+    def _claim(self, values: list[bytes]) -> list[int]:
+        """:meth:`place_many`, activating reserved spares while free
+        capacity runs dry."""
+        while True:
+            try:
+                return self.place_many(values)
+            except PoolExhaustedError:
+                if self.adopt_spare() is None:
+                    raise
+
+    def _write_claimed(
+        self, addrs: list[int], values: list[bytes], replace: bool
+    ) -> list[WriteResult]:
+        """Land ``values`` at their claimed ``addrs`` (the contract of
+        :meth:`write_many`).  A retired row is re-placed when ``replace``
+        (``addrs`` is updated in place); otherwise the
+        :class:`SegmentRetiredError` propagates after the quarantine."""
+        results: list[WriteResult] = []
+        try:
+            while True:
+                rest = slice(len(results), None)
+                try:
+                    if self.faults is not None:
+                        for _ in values[rest]:
+                            self.faults.fire("device.write")
+                    results += self.controller.write_many(
+                        addrs[rest], values[rest]
+                    )
+                    break
+                except SegmentRetiredError as exc:
+                    self.failed_writes += 1
+                    results += exc.results
+                    row = len(results)
+                    self.quarantine_address(addrs[row])
+                    self.adopt_spare()
+                    if not replace:
+                        raise
+                    addrs[row] = self._claim(values[row : row + 1])[0]
+                except BaseException:
+                    self.failed_writes += len(values) - len(results)
+                    raise
+        except BaseException:
+            held = [a for a in addrs if a in self._allocated]
+            if held:
+                self.release_many(held)
+            raise
+        self.record_committed_writes(len(values))
+        return results
+
+    def _check_values(self, values: list[bytes]) -> None:
         for value in values:
             if len(value) > self.segment_size:
                 raise ValueError(
                     f"value of {len(value)} bytes exceeds segment size "
                     f"{self.segment_size}"
                 )
-        if not values:
-            return []
-        if self.controller.verify_writes:
-            return [self.write(value) for value in values]
-        addrs = self.place_many(values)
-        try:
-            if self.faults is not None:
-                for _ in values:
-                    self.faults.fire("device.write")
-            results = self.controller.write_many(addrs, values)
-        except BaseException:
-            self.failed_writes += len(values)
-            self.release_many(addrs)
-            raise
-        self.record_committed_writes(len(values))
-        return list(zip(addrs, results))
 
     def claim_address(self, addr: int) -> bool:
         """Claim a *specific* free address out of the DAP (directed
@@ -518,47 +521,22 @@ class E2NVM:
         """Differential-write ``value`` at an already-claimed address (the
         directed-migration path; claim with :meth:`claim_address`).
 
-        Same error contract as :meth:`write`, minus placement: on
-        :class:`SegmentRetiredError` the address is quarantined before the
-        error propagates (the caller re-targets); on any other failure it
-        is released back into the DAP.
+        A one-row :meth:`write_many` minus placement: on
+        :class:`SegmentRetiredError` the address is quarantined (and a
+        spare adopted) before the error propagates — the caller
+        re-targets; on any other failure it is released back into the DAP.
         """
-        if len(value) > self.segment_size:
-            raise ValueError(
-                f"value of {len(value)} bytes exceeds segment size "
-                f"{self.segment_size}"
-            )
+        self._check_values([value])
         if addr not in self._allocated:
             raise KeyError(f"address {addr} is not claimed")
-        try:
-            if self.faults is not None:
-                self.faults.fire("device.write")
-            result = self.controller.write(addr, value)
-        except SegmentRetiredError:
-            self.failed_writes += 1
-            self.quarantine_address(addr)
-            raise
-        except BaseException:
-            self.failed_writes += 1
-            self.release(addr)
-            raise
-        self.record_committed_write()
-        return result
-
-    def record_committed_write(self) -> None:
-        """Post-write bookkeeping: retrain policy, padding-statistics
-        refresh, and the never-failing ``auto_retrain`` hook.
-
-        Shared by :meth:`write` and the KV store's transactional write
-        path, which performs the media write itself (inside an undo-log
-        transaction) and calls this once the write has committed.
-        """
-        self.record_committed_writes(1)
+        return self._write_claimed([addr], [value], replace=False)[0]
 
     def record_committed_writes(self, count: int) -> None:
-        """Batch form of :meth:`record_committed_write`: counts ``count``
-        writes toward the retrain cooldown and padding-statistics refresh,
-        then runs the ``auto_retrain`` hook once."""
+        """Post-write bookkeeping for ``count`` committed writes: retrain
+        cooldown and padding-statistics refresh, then the never-failing
+        ``auto_retrain`` hook, once.  The KV store's transactional write
+        path, which performs the media write itself inside an undo-log
+        transaction, calls it after each commit."""
         if count <= 0:
             return
         self.policy.record_write(count)

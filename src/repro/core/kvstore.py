@@ -29,6 +29,7 @@ The store runs in one of two modes:
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass
 
@@ -289,17 +290,13 @@ class KVStore:
             addr = live_addrs[key]
             engine.mark_allocated(addr)
             pool.mark_allocated(addr)
-            store.index.put(key, (addr, entry.value_len))
-            store._valid[addr] = True
-            store._by_addr[addr] = key
-            store._crc_by_addr[addr] = entry.crc
             # Approximate the write-temperature stamp from the persisted
             # epoch: both are monotone per-PUT clocks, so relative
             # coldness survives the crash even though the DRAM heat map
             # does not.  (Migration bumps the epoch, so a value moved by
             # wear leveling looks warmer after recovery than before — a
             # conservative error: it only delays re-migrating it.)
-            store._heat_by_addr[addr] = entry.epoch
+            store._link(key, addr, entry.value_len, entry.crc, entry.epoch)
             # Recovery-time integrity scan: verify every live value against
             # its persisted CRC.  Mismatches (resistance drift while the
             # store was down, or media damage) are only *counted* here —
@@ -403,59 +400,28 @@ class KVStore:
         # so a crash anywhere inside one never changes observable store
         # contents — whereas relocating after the commit would open a
         # window where a PUT is committed but not yet acknowledged.
-        self._maybe_relocate()
+        self.drain_relocations()
         if self.pool is None:
             return self._put_many_volatile(items)
         return self._put_many_durable(items)
 
     def _put_many_volatile(self, items: list[tuple[bytes, bytes]]) -> list[int]:
-        try:
-            results = self.engine.write_many([value for _, value in items])
-        except PoolExhaustedError as exc:
-            if not self._reclaim_stranded():
-                self._enter_read_only(exc)
+        values = [value for _, value in items]
+        while True:
             try:
-                results = self.engine.write_many(
-                    [value for _, value in items]
-                )
-            except PoolExhaustedError as exc2:
-                self._enter_read_only(exc2)
-        addrs: list[int] = []
+                results = self.engine.write_many(values)
+                break
+            except PoolExhaustedError as exc:
+                self._restore_capacity(exc)
         stale: list[int] = []
         for (key, value), (addr, _) in zip(items, results):
             old = self.index.get(key)
-            self._valid[addr] = True
-            self._by_addr[addr] = key
-            self._crc_by_addr[addr] = zlib.crc32(value) & 0xFFFFFFFF
-            self._write_seq += 1
-            self._heat_by_addr[addr] = self._write_seq
-            self.index.put(key, (addr, len(value)))
+            self._link(key, addr, len(value), zlib.crc32(value) & 0xFFFFFFFF)
             if old is not None:
-                old_addr, _ = old
-                self._valid[old_addr] = False
-                self._by_addr.pop(old_addr, None)
-                self._crc_by_addr.pop(old_addr, None)
-                self._heat_by_addr.pop(old_addr, None)
-                stale.append(old_addr)
-            addrs.append(addr)
-        if stale:
-            # UPDATEs: healthy previous locations recycle in one
-            # re-encoding pass; dying ones route through _recycle_addr so
-            # retirement/reclamation bookkeeping happens per address.
-            health = self.engine.health
-            if health is None:
-                self.engine.release_many(stale)
-            else:
-                healthy = []
-                for old_addr in stale:
-                    seg = old_addr // self.engine.segment_size
-                    if health.is_unplaceable(seg):
-                        self._recycle_addr(old_addr)
-                    else:
-                        healthy.append(old_addr)
-                if healthy:
-                    self.engine.release_many(healthy)
-        return addrs
+                self._unlink(old[0])
+                stale.append(old[0])
+        self._recycle(stale)
+        return [addr for addr, _ in results]
 
     def _put_many_durable(self, items: list[tuple[bytes, bytes]]) -> list[int]:
         """Algorithm 1 with a real durability contract, pair by pair in
@@ -482,7 +448,7 @@ class KVStore:
         prediction, base = engine.predict_placement(values), 0
         addrs: list[int] = []
         for i, (key, value) in enumerate(items):
-            for attempt in range(engine.controller.n_segments + 1):
+            for attempt in itertools.count():
                 try:
                     claimed = None
                     if attempt == 0:
@@ -497,36 +463,15 @@ class KVStore:
                             )
                     addr = engine.place(value) if claimed is None else claimed[0]
                 except PoolExhaustedError as exc:
-                    # Free capacity ran dry: a remaining reserved spare can
-                    # still save the PUT, and when even spares are gone,
-                    # reclaiming a stranded drained retiring segment can
-                    # mint one more; only true exhaustion degrades.
-                    if engine.adopt_spare() is not None:
-                        continue
-                    if (
-                        self._reclaim_stranded()
-                        and engine.adopt_spare() is not None
-                    ):
-                        continue
-                    self._enter_read_only(exc)
+                    self._restore_capacity(exc)
+                    continue
                 try:
                     self._commit_durable(key, value, addr)
                 except SegmentRetiredError:
-                    # ``_commit_durable`` already un-claimed (and the
-                    # engine quarantined) the dead address; mirror the
-                    # retirement in the pool's allocator, pull in a spare
-                    # and re-place.
-                    self.pool.retire(addr)
-                    engine.adopt_spare()
-                    continue
-                engine.record_committed_write()
+                    continue  # the dead address is retired; re-place
+                engine.record_committed_writes(1)
                 addrs.append(addr)
                 break
-            else:
-                raise PoolExhaustedError(
-                    "durable PUT retries exhausted: every placement "
-                    "candidate retired"
-                )
         return addrs
 
     def _check_durable_key(self, key: bytes) -> None:
@@ -540,8 +485,10 @@ class KVStore:
         """Commit one placed value: undo-log transaction, then DRAM mirrors.
 
         On a non-crash failure the (rolled-back) transaction's address is
-        un-claimed before the error propagates; a :class:`CrashError`
-        propagates raw — no DRAM cleanup, the harness re-opens from media.
+        un-claimed before the error propagates — and on
+        :class:`SegmentRetiredError` retired in the pool allocator, with a
+        spare adopted in its place; a :class:`CrashError` propagates raw —
+        no DRAM cleanup, the harness re-opens from media.
         """
         old = self.index.get(key)
         epoch = self._next_epoch
@@ -569,27 +516,22 @@ class KVStore:
             # Simulated process death: no DRAM cleanup — the harness
             # discards this object and re-opens from the media.
             raise
-        except BaseException:
+        except BaseException as exc:
             # Failed (and rolled-back) transaction: un-claim the address so
-            # the DAP stays exact, then surface the error.
+            # the DAP stays exact (the release quarantines a retired
+            # segment), then surface the error.
             self.engine.release(addr)
+            if isinstance(exc, SegmentRetiredError):
+                self.pool.retire(addr)
+                self.engine.adopt_spare()
             raise
         # Committed: now (and only now) update the DRAM mirrors.
         self._next_epoch = epoch + 1
-        self._valid[addr] = True
-        self._by_addr[addr] = key
-        self._crc_by_addr[addr] = crc
-        self._write_seq += 1
-        self._heat_by_addr[addr] = self._write_seq
-        self.index.put(key, (addr, len(value)))
+        self._link(key, addr, len(value), crc)
         self.pool.mark_allocated(addr)
         if old is not None:
-            old_addr, _ = old
-            self._valid[old_addr] = False
-            self._by_addr.pop(old_addr, None)
-            self._crc_by_addr.pop(old_addr, None)
-            self._heat_by_addr.pop(old_addr, None)
-            self._recycle_addr(old_addr)
+            self._unlink(old[0])
+            self._recycle([old[0]])
 
     def get(self, key: bytes) -> bytes | None:
         """Value for ``key``, or ``None`` when absent.
@@ -625,10 +567,6 @@ class KVStore:
     def heat_of(self, addr: int) -> int | None:
         """Temperature stamp of a live address (``None`` when untracked)."""
         return self._heat_by_addr.get(addr)
-
-    def _fire_site(self, site: str) -> None:
-        if self.engine.faults is not None:
-            self.engine.faults.fire(site)
 
     def _read_value(self, key: bytes) -> bytes | None:
         """Read, verify and (if needed) repair the value of ``key``.
@@ -705,22 +643,46 @@ class KVStore:
             with self.pool.transaction(defer_flush=True) as tx:
                 self.catalog.tx_clear(tx, self.pool.object_index(addr))
         self.index.delete(key)
+        self._unlink(addr)
+        self._recycle([addr])
+        return True
+
+    # ------------------------------------------------------------ DRAM mirrors
+
+    def _link(
+        self, key: bytes, addr: int, length: int, crc: int,
+        heat: int | None = None,
+    ) -> None:
+        """Point ``key`` at its value at ``addr`` in the index and every
+        per-address mirror; ``heat`` is the write-temperature stamp (a
+        fresh user write when ``None``)."""
+        if heat is None:
+            self._write_seq += 1
+            heat = self._write_seq
+        self._valid[addr] = True
+        self._by_addr[addr] = key
+        self._crc_by_addr[addr] = crc
+        self._heat_by_addr[addr] = heat
+        self.index.put(key, (addr, length))
+
+    def _unlink(self, addr: int) -> None:
+        """Drop a no-longer-live ``addr`` from the per-address mirrors (the
+        caller has re-pointed or deleted its key); recycle it next."""
         self._valid[addr] = False
         self._by_addr.pop(addr, None)
         self._crc_by_addr.pop(addr, None)
         self._heat_by_addr.pop(addr, None)
-        self._recycle_addr(addr)
-        return True
 
     # ---------------------------------------------------- wear-out degradation
 
-    def _recycle_addr(self, old_addr: int) -> None:
-        """Recycle a no-longer-live address through the engine *and* (in
-        durable mode) the pool allocator — except that dying segments do
-        not re-pool:
+    def _recycle(self, addrs: list[int]) -> None:
+        """Recycle no-longer-live addresses through the engine *and* (in
+        durable mode) the pool allocator, the re-poolable ones in one
+        :meth:`E2NVM.release_many` — except that dying segments do not
+        re-pool:
 
         - a *retired* segment's media is dead: it is retired in the
-          allocator and quarantined in the DAP, for good;
+          allocator and quarantined in the DAP (by the release), for good;
         - a *retiring* segment that this free has just fully drained (one
           value per segment) is **reclaimed**: its address joins the
           spares list as spare-class capacity instead of being stranded
@@ -730,29 +692,44 @@ class KVStore:
           any drained retiring segment it finds.
         """
         health = self.engine.health
-        seg = old_addr // self.engine.segment_size
-        if health is None or not health.is_unplaceable(seg):
+        release: list[int] = []
+        for addr in addrs:
+            seg = addr // self.engine.segment_size
+            dying = health is not None and health.is_unplaceable(seg)
+            if dying and not health.is_retired(seg):
+                # Retiring and now empty: reclaim into the spares pool.
+                # The address stays free in the allocator and quarantined
+                # in the DAP (exactly like a reserved spare) until
+                # adopt_spare() activates it.
+                if self.pool is not None:
+                    self.pool.free(addr)
+                self.engine.quarantine_address(addr)
+                health.reclaim(seg)
+                continue
             if self.pool is not None:
-                self.pool.free(old_addr)
-            self.engine.release(old_addr)
+                if dying:
+                    self.pool.retire(addr)
+                else:
+                    self.pool.free(addr)
+            release.append(addr)
+        if release:
+            self.engine.release_many(release)
+
+    def _restore_capacity(self, exc: PoolExhaustedError) -> None:
+        """The capacity ladder, climbed when placement finds no free
+        segment: adopt a reserved spare; else reclaim stranded drained
+        segments (:meth:`_reclaim_stranded`) and adopt one of those; only
+        when both fail, degrade to read-only (raises)."""
+        if self.engine.adopt_spare() is not None:
             return
-        if health.is_retired(seg):
-            if self.pool is not None:
-                self.pool.retire(old_addr)
-            self.engine.release(old_addr)  # quarantined by the release
+        if self._reclaim_stranded() and self.engine.adopt_spare() is not None:
             return
-        # Retiring and now empty: reclaim into the spares pool.  The
-        # address stays free in the allocator and quarantined in the DAP
-        # (exactly like a reserved spare) until adopt_spare() activates it.
-        if self.pool is not None:
-            self.pool.free(old_addr)
-        self.engine.quarantine_address(old_addr)
-        health.reclaim(seg)
+        self._enter_read_only(exc)
 
     def _reclaim_stranded(self) -> int:
         """Last-ditch reclamation before read-only degradation: fold any
         *drained* retiring segment — one that no longer holds a live value
-        but was never recycled through :meth:`_recycle_addr` (e.g. freed
+        but was never recycled through :meth:`_recycle` (e.g. freed
         by an engine-level release) — into the spares list.  Returns how
         many segments were reclaimed."""
         health = self.engine.health
@@ -788,14 +765,6 @@ class KVStore:
             "wear-out exhausted free capacity and spares; the store is "
             "now read-only"
         ) from exc
-
-    def _maybe_relocate(self) -> None:
-        """Drain the whole relocation queue opportunistically at the
-        *start* of every PUT (see :meth:`drain_relocations`): relocations
-        are content-neutral, so doing them before this PUT's own write
-        adds no window where a crash could leave the caller's PUT
-        committed but unacknowledged."""
-        self.drain_relocations()
 
     def drain_relocations(self, budget: int | None = None) -> int:
         """Evacuate live values off retiring segments (ECP at capacity).
@@ -900,34 +869,21 @@ class KVStore:
         if not self.engine.claim_address(target_addr):
             return False
         heat = self._heat_by_addr.get(old_addr)
-        self._fire_site("compact.migrate")
-        if self.pool is None:
-            try:
+        if self.engine.faults is not None:
+            self.engine.faults.fire("compact.migrate")
+        try:
+            if self.pool is None:
                 self.engine.write_at(target_addr, value)
-            except SegmentRetiredError:
-                self.engine.adopt_spare()
-                return False
-            self._valid[target_addr] = True
-            self._by_addr[target_addr] = key
-            self._crc_by_addr[target_addr] = zlib.crc32(value) & 0xFFFFFFFF
-            self.index.put(key, (target_addr, len(value)))
-            self._valid[old_addr] = False
-            self._by_addr.pop(old_addr, None)
-            self._crc_by_addr.pop(old_addr, None)
-            self._heat_by_addr.pop(old_addr, None)
-            self._recycle_addr(old_addr)
-        else:
-            try:
+                crc = zlib.crc32(value) & 0xFFFFFFFF
+                self._link(key, target_addr, len(value), crc, heat)
+                self._unlink(old_addr)
+                self._recycle([old_addr])
+            else:
                 self._commit_durable(key, value, target_addr)
-            except CrashError:
-                raise
-            except SegmentRetiredError:
-                # _commit_durable already released (and the engine
-                # quarantined) the dead target; mirror it in the
-                # allocator and pull in a spare.
-                self.pool.retire(target_addr)
-                self.engine.adopt_spare()
-                return False
+        except SegmentRetiredError:
+            # The dead target is quarantined and a spare adopted in its
+            # place.
+            return False
         if heat is not None:
             # Forward the temperature stamp (the fresh-write stamp the
             # commit path set would make every migrated value look hot).

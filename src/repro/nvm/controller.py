@@ -134,7 +134,10 @@ class MemoryController:
         before the next row's crash point), and, under verification, when
         the run touches a stuck or drifted cell (a row may then retire its
         segment, and no later row may land).  A retiring row raises
-        :class:`SegmentRetiredError` carrying its batch index on ``.row``.
+        :class:`SegmentRetiredError` carrying its batch index on ``.row``
+        and the results of the rows before it on ``.results`` (only a
+        one-row span can retire, so those are exactly the rows that
+        landed).
 
         Raises:
             ValueError: a row crosses a segment boundary (checked for every
@@ -161,6 +164,7 @@ class MemoryController:
                     )
                 except SegmentRetiredError as exc:
                     exc.row += start  # run-relative -> batch index
+                    exc.results = results
                     raise
         return results
 

@@ -342,16 +342,6 @@ class NVMDevice:
             )
         return out
 
-    def read_arrays(self, addrs, length: int) -> np.ndarray:
-        """Read ``length`` bytes at each address as a ``(B, length)`` array.
-
-        Accounting is identical to ``B`` individual :meth:`read_array`
-        calls; the gather itself is one fancy-indexed copy.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64).reshape(-1)
-        lengths = np.full(addrs.size, length, dtype=np.int64)
-        return self.read_rows(addrs, lengths).reshape(addrs.size, length)
-
     def read_rows(self, addrs, lengths) -> np.ndarray:
         """Read ragged rows (``lengths[i]`` bytes at ``addrs[i]``), returned
         concatenated in row order.  Accounted like one :meth:`read_array`

@@ -48,7 +48,8 @@ class SegmentRetiredError(RuntimeError):
     The segment is retired: its address must be quarantined and the write
     retried elsewhere.  Carries the failing physical segment on
     ``.segment`` and, when raised by a batched write, the index of the
-    failing row on ``.row`` (rows before it landed, rows after it did not).
+    failing row on ``.row`` (rows before it landed, rows after it did not)
+    and the landed rows' results on ``.results``.
     """
 
     def __init__(
@@ -60,6 +61,7 @@ class SegmentRetiredError(RuntimeError):
         )
         self.segment = segment
         self.row = row
+        self.results: list = []
 
 
 class HealthState:

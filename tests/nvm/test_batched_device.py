@@ -1,6 +1,6 @@
 """Batched device/controller operations vs their sequential equivalents.
 
-``read_arrays``/``program_many``/``write_many`` must account exactly like a
+``read_rows``/``program_many``/``write_many`` must account exactly like a
 loop of their scalar counterparts: same WriteResults, same stats counters,
 same media content, same wear counters.
 """
@@ -38,13 +38,14 @@ def _assert_stats_equal(a, b):
             assert va == vb, field.name
 
 
-class TestReadArrays:
+class TestReadRows:
     def test_matches_read_array_loop(self):
         batched, sequential = _device(), _device()
         addrs = [0, 192, 64, 512]
-        rows = batched.read_arrays(addrs, SEGMENT_SIZE)
-        expected = np.stack(
-            [sequential.read_array(a, SEGMENT_SIZE) for a in addrs]
+        lengths = [SEGMENT_SIZE, 8, SEGMENT_SIZE, 1]
+        rows = batched.read_rows(addrs, lengths)
+        expected = np.concatenate(
+            [sequential.read_array(a, n) for a, n in zip(addrs, lengths)]
         )
         np.testing.assert_array_equal(rows, expected)
         _assert_stats_equal(batched.stats, sequential.stats)
@@ -52,7 +53,7 @@ class TestReadArrays:
     def test_out_of_range_raises(self):
         device = _device()
         with pytest.raises(IndexError):
-            device.read_arrays([0, device.capacity_bytes], 8)
+            device.read_rows([0, device.capacity_bytes], [8, 8])
 
 
 class TestProgramMany:
